@@ -98,7 +98,7 @@ class TestTraceBench:
         assert trace_artifact["benchmark"] == "trace_kernel"
         for section in ("co_run", "way_sweep"):
             assert set(trace_artifact[section]["wall_s"]) == (
-                {"seed", "kernel"} if section == "co_run" else
+                {"object", "kernel"} if section == "co_run" else
                 {"brute_force", "profile"}
             )
 
@@ -118,7 +118,7 @@ class TestDynamicBench:
     def test_artifact_shape(self, dynamic_artifact):
         assert dynamic_artifact["benchmark"] == "dynamic_epoch_replay"
         assert set(dynamic_artifact["static_4dom"]["wall_s"]) == {
-            "heap",
+            "python",
             "multiwalk",
         }
         assert set(dynamic_artifact["dynamic_2dom"]["wall_s"]) == {

@@ -130,11 +130,15 @@ def backend_cross_validation():
     """Arm 3: kernel vs object model vs interval-model curve fit."""
     failures = []
 
-    # Bit-identity of the cache backends on a partitioned co-run.
+    # Bit-identity of the cache backends on a partitioned co-run: the
+    # object model's per-access protocol and the kernel's fused walk.
     reference = _co_run_signature("object")
-    for backend, fast_loop in (("seed", False), ("kernel", True)):
+    for backend, fast_loop in (("object", False), ("kernel", True)):
         if _co_run_signature(backend, fast_loop) != reference:
-            failures.append(f"{backend} backend diverges from the object model")
+            failures.append(
+                f"{backend} backend (fast_loop={fast_loop}) diverges from "
+                "the object model"
+            )
 
     # The single-pass profile against per-mask replay, and both against
     # the interval engine's fitted curve form.
@@ -175,7 +179,7 @@ def backend_cross_validation():
         )
     )
     status = "OK" if not failures else "; ".join(failures)
-    print(f"   kernel == object == seed on a partitioned co-run: "
+    print(f"   kernel == object (fast and per-access) on a partitioned co-run: "
           f"{'yes' if not any('backend' in f for f in failures) else 'NO'}")
     print(f"   cross-validation: {status}")
     return failures

@@ -19,9 +19,10 @@ arms agree with the seed arm to ~1e-9 relative. The summary lands in
 It then benchmarks the address-level trace path into ``BENCH_trace.json``:
 
 - ``co_run``    — a zipf foreground + streaming background co-run under
-                  the paper's 9/3 partition, object-model seed path
-                  (original per-access protocol) vs the flat-array kernel
-                  backend's fused walk, verified bit-identical;
+                  the paper's 9/3 partition, object model on the
+                  per-access ``access()`` protocol (``fast_loop=False``)
+                  vs the flat-array kernel backend's fused walk,
+                  verified bit-identical;
 - ``way_sweep`` — misses under every allocation 1..12, brute-force
                   per-mask re-simulation vs one stack-distance profiling
                   pass (UMON), verified hit-for-hit equal.
@@ -35,8 +36,8 @@ on-disk pack cache — all bit-identity / counter verified.
 Finally it benchmarks the N-domain epoch replay into ``BENCH_dynamic.json``:
 
 - ``static_4dom``   — a 4-domain partitioned co-run, native multiwalk
-                      kernel vs the Python heap scheduler over the same
-                      packs, full-signature bit-identity enforced;
+                      kernel vs the pure-Python epoch driver over the
+                      same packs, full-signature bit-identity enforced;
 - ``dynamic_2dom``  — a trace-driven dynamically partitioned run (the
                       controller reallocates ways between epochs without
                       flushing), native epoch kernel vs the pure-Python
@@ -261,11 +262,13 @@ def run_trace(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     from repro.util.units import MB
     from repro.workloads.trace import ZipfTrace
 
-    # -- co-run: seed object model (original protocol) vs fused kernel ----
-    seed_t, seed_sig = _time_co_run("seed", False, repeats, co_accesses)
+    # -- co-run: object model (access() protocol) vs fused kernel --------
+    object_t, object_sig = _time_co_run("object", False, repeats, co_accesses)
     kernel_t, kernel_sig = _time_co_run("kernel", True, repeats, co_accesses)
-    if seed_sig != kernel_sig:
-        raise SystemExit("FAIL: kernel co-run is not bit-identical to the seed path")
+    if object_sig != kernel_sig:
+        raise SystemExit(
+            "FAIL: kernel co-run is not bit-identical to the object model"
+        )
 
     # -- way sweep: per-mask re-simulation vs one profiling pass ----------
     def factory():
@@ -273,7 +276,7 @@ def run_trace(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
 
     ways = list(range(1, LLC_NUM_WAYS + 1))
     start = time.perf_counter()
-    brute = [brute_force_hits(factory, w, backend="seed") for w in ways]
+    brute = [brute_force_hits(factory, w, backend="object") for w in ways]
     brute_t = time.perf_counter() - start
     profile_t = curve = None
     for _ in range(repeats):
@@ -290,8 +293,11 @@ def run_trace(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
         "repeats": repeats,
         "co_run": {
             "total_accesses": co_accesses,
-            "wall_s": {"seed": round(seed_t, 4), "kernel": round(kernel_t, 4)},
-            "speedup": round(seed_t / kernel_t, 2),
+            "wall_s": {
+                "object": round(object_t, 4),
+                "kernel": round(kernel_t, 4),
+            },
+            "speedup": round(object_t / kernel_t, 2),
             "identical": True,
         },
         "way_sweep": {
@@ -331,7 +337,7 @@ def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     import shutil
     import tempfile
 
-    from repro.cache.native import pair_walk_fn
+    from repro.cache.native import multi_walk_fn
     from repro.cache.profile import LLC_NUM_WAYS, WaySweep, brute_force_hits
     from repro.util.units import MB
     from repro.workloads import tracepack
@@ -341,8 +347,8 @@ def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     workloads = _co_run_workloads(co_accesses // 3, co_accesses // 4)
     packs = [tracepack.get_pack(w.trace_factory()) for w in workloads]
 
-    # One untimed pass per arm absorbs one-time costs (the native pair
-    # kernel's compile/load, the permutation/PLRU table memos) so the
+    # One untimed pass per arm absorbs one-time costs (the native
+    # multiwalk kernel's compile/load, the permutation/PLRU table memos) so the
     # first timed repeat is not charged for them.
     _partitioned_engine("kernel", True).run(workloads, total_accesses=6_000)
     _partitioned_engine("kernel", True).run_packed(
@@ -419,7 +425,7 @@ def run_tracepack(repeats=3, co_accesses=120_000, sweep_accesses=60_000):
     return {
         "benchmark": "tracepack",
         "repeats": repeats,
-        "native_kernel": pair_walk_fn() is not None,
+        "native_kernel": multi_walk_fn() is not None,
         "co_run": {
             "total_accesses": co_accesses,
             "wall_s": {"kernel": round(run_t, 4), "pack": round(pack_t, 4)},
@@ -586,7 +592,7 @@ def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
 
     native_kernel = multi_walk_fn() is not None
 
-    # -- 4-domain static co-run: native multiwalk vs Python heap ----------
+    # -- 4-domain static co-run: native multiwalk vs Python driver --------
     workloads = _four_domain_workloads(static_accesses // 4)
     packs = [tracepack.get_pack(w.trace_factory()) for w in workloads]
     # Untimed passes absorb the one-time kernel compile/load and table
@@ -594,7 +600,7 @@ def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
     _time_static_packed(workloads, packs, 6_000)
     _without_native(lambda: _time_static_packed(workloads, packs, 6_000))
 
-    multi_t = heap_t = multi_sig = heap_sig = None
+    multi_t = static_py_t = multi_sig = static_py_sig = None
     for _ in range(repeats):
         elapsed, sig = _time_static_packed(workloads, packs, static_accesses)
         multi_t = elapsed if multi_t is None else min(multi_t, elapsed)
@@ -602,11 +608,14 @@ def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
         elapsed, sig = _without_native(
             lambda: _time_static_packed(workloads, packs, static_accesses)
         )
-        heap_t = elapsed if heap_t is None else min(heap_t, elapsed)
-        heap_sig = sig
-    if multi_sig != heap_sig:
+        static_py_t = (
+            elapsed if static_py_t is None else min(static_py_t, elapsed)
+        )
+        static_py_sig = sig
+    if multi_sig != static_py_sig:
         raise SystemExit(
-            "FAIL: 4-domain multiwalk run is not bit-identical to the heap path"
+            "FAIL: 4-domain multiwalk run is not bit-identical to the "
+            "Python epoch driver"
         )
 
     # -- 2-domain dynamic run: native epoch kernel vs Python driver -------
@@ -649,10 +658,10 @@ def run_dynamic(repeats=3, static_accesses=240_000, dyn_accesses=200_000,
             "domains": 4,
             "total_accesses": static_accesses,
             "wall_s": {
-                "heap": round(heap_t, 4),
+                "python": round(static_py_t, 4),
                 "multiwalk": round(multi_t, 4),
             },
-            "speedup": round(heap_t / multi_t, 2),
+            "speedup": round(static_py_t / multi_t, 2),
             "identical": True,
         },
         "dynamic_2dom": {

@@ -12,6 +12,7 @@ from repro.core.clustering import cluster_applications
 from repro.core.dynamic import DynamicPartitionController
 from repro.exec import run_tasks
 from repro.runtime.harness import paper_pair_allocations
+from repro.util.errors import ValidationError
 from repro.workloads import all_applications, get_application
 from repro.workloads.registry import REPRESENTATIVES
 
@@ -117,8 +118,8 @@ def fig06_allocation_space(
         for threads in thread_counts:
             try:
                 app.scalability.validate_threads(threads)
-            except Exception:
-                continue
+            except ValidationError:
+                continue  # e.g. a power-of-2-only app at 3 threads
             for ways in way_counts:
                 cells.append((app.name, threads, ways))
     results = run_tasks(characterizer.machine, _fig06_cell, cells, workers=workers)
@@ -313,7 +314,6 @@ def background_factories(domains):
     foreground, so 2 <= domains <= 4 on the four-core hierarchy)."""
     import functools
 
-    from repro.util.errors import ValidationError
     from repro.workloads.trace import make_trace
 
     if not 2 <= domains <= 1 + len(_BG_TABLE):
@@ -392,7 +392,6 @@ def trace_group_spec(kinds, accesses=60_000, footprint_mb=4.0, alpha=0.9,
     """
     from repro.backend import TenantSet
     from repro.sim.trace_engine import TraceWorkload
-    from repro.util.errors import ValidationError
 
     kinds = list(kinds)
     if not 2 <= len(kinds) <= len(_GROUP_TIDS):
@@ -429,7 +428,6 @@ def verify_trace_group_replay(backend, group, outcome):
     """
     from repro.cache.llc import WayMask
     from repro.sim.trace_engine import TraceEngine
-    from repro.util.errors import ValidationError
 
     llc_ways = backend.capabilities().llc_ways
     engine = TraceEngine(

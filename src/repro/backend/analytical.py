@@ -53,15 +53,18 @@ class AnalyticalBackend(SimBackend):
             supports_operating_points=True,
         )
 
-    @staticmethod
-    def _grid_options(options):
+    def _grid_options(self, options):
         """The grid solver's supported option subset, or None.
 
         ``run_pair_grid`` covers the continuous-background, uncontrolled
-        steady-state case (what sweeps and campaigns run). Anything else
-        — a finite background, the dynamic controller, timelines, or
-        custom step sizes — falls back to the scalar engine.
+        steady-state case (what sweeps and campaigns run) on a stock
+        memory system. Anything else — a finite background, the dynamic
+        controller, timelines, custom step sizes, or a DRAM/ring domain
+        the grid would not see (``apply_qos`` installs one) — falls back
+        to the scalar engine.
         """
+        if not self._stock_memory_system():
+            return None
         known = {"bg_continuous": True, "prefetchers_on": True}
         merged = dict(known, **options)
         if set(merged) != set(known) or merged["bg_continuous"] is not True:
@@ -69,6 +72,22 @@ class AnalyticalBackend(SimBackend):
         if not isinstance(merged["prefetchers_on"], bool):
             return None
         return merged
+
+    def _stock_memory_system(self):
+        """True while DRAM and ring are both plain ``BandwidthDomain``
+        objects of the configured capacity. The grid resolves contention
+        from the config alone, so any other installed domain declines it."""
+        from repro.cpu.bandwidth import BandwidthDomain
+
+        memory = self.machine.memory_system
+        config = self.machine.config
+        return all(
+            type(domain) is BandwidthDomain and domain.capacity_bps == cap
+            for domain, cap in (
+                (memory.dram, config.dram_bandwidth_bps),
+                (memory.ring, config.ring_bandwidth_bps),
+            )
+        )
 
     def solo(self, app, threads=None):
         """The app alone in the paper's co-run slot, via the solo cache."""
@@ -149,7 +168,8 @@ class AnalyticalBackend(SimBackend):
                 if config is not None:
                     raise ValidationError(
                         "per-cell operating points require grid-solvable "
-                        f"options; got {spec.options!r}"
+                        f"options on a stock memory system; got "
+                        f"{spec.options!r}"
                     )
                 results.append(self.co_run(spec, split))
                 continue
@@ -170,9 +190,9 @@ class AnalyticalBackend(SimBackend):
     def sweep(self, spec):
         """All disjoint splits in one vectorized grid call.
 
-        Falls back to the per-split default when ``spec.options`` asks
-        for something the grid solver does not model (finite
-        backgrounds, controllers, timelines).
+        Falls back to the per-split default when the grid solver does
+        not model the request (finite backgrounds, controllers,
+        timelines, or a non-stock memory system such as bandwidth QoS).
         """
         if self._grid_options(spec.options) is None:
             return super().sweep(spec)

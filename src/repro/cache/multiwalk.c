@@ -1,10 +1,9 @@
 /* Fused N-domain lean pack replay, epoch-resumable.
  *
- * Generalizes pairwalk.c: instead of two hard-wired cores and a whole-run
- * loop, every domain's scheduler state (trace position, wrap count,
- * liveness, virtual time, way mask, level counters) lives in a flat
- * int64 buffer owned by Python (`dom`, DOM_STRIDE slots per domain), and
- * one call replays an *epoch* — it stops at an absolute issued-access
+ * Every domain's scheduler state (trace position, wrap count, liveness,
+ * virtual time, way mask, level counters) lives in a flat int64 buffer
+ * owned by Python (`dom`, DOM_STRIDE slots per domain), and one call
+ * replays an *epoch* — it stops at an absolute issued-access
  * target (`cfg[CFG_STOP]`) or when the least-advanced live domain has
  * reached a virtual-time horizon (`cfg[CFG_HORIZON]`, -1 to disable) —
  * then writes everything back.  The next call resumes exactly where this
@@ -14,14 +13,15 @@
  *
  * The scheduler is a linear scan for the minimum (vtime, slot) over live
  * domains: ties break toward the lowest slot, which is exactly the
- * lexicographic pop order of the Python engine's (vtime, slot) heap —
+ * lexicographic pop order of TraceEngine.run's (vtime, slot) heap —
  * entries are unique, so scan and heap retire accesses in the same
  * order.  A non-repeating domain that exhausts its trace goes dead
- * without issuing, mirroring `_packed_heap`'s `continue`.
+ * without issuing, mirroring the heap loop's `continue`.
  *
- * The per-access cache walk (`access_one`) is byte-for-byte the pairwalk
- * walk; per-core L1 permutation-FSM states and L2 PLRU words move into
- * all-core flattened arrays so any subset of cores can participate.
+ * The per-access cache walk (`access_one`) is a port of the lean pack
+ * walk (kernel._build_lean_pack_walk) over the same tables; per-core L1
+ * permutation-FSM states and L2 PLRU words live in all-core flattened
+ * arrays so any subset of cores can participate.
  *
  * Conventions shared with kernel.KernelCacheLevel:
  *   - tags[set * ways + way] holds the line number, -1 when invalid;

@@ -1,19 +1,18 @@
 """On-demand compilation of the native pack-replay kernels.
 
-``pairwalk.c`` (the fused two-domain lean replay loop), ``multiwalk.c``
-(its N-domain, epoch-resumable generalization), ``batchwalk.c`` (the
-batched, multi-threaded driver that replays a whole roster of
-independent cells in one call) and ``epochbatch.c`` (the batched driver
-made epoch-resumable: one threaded call advances every *active* cell by
-one epoch, host-side controller logic in between) live next to this
-module. Each is
-compiled once per (source revision, flag set) with whatever
-``cc``/``gcc`` the host offers, cached as a shared object under the
-trace-pack cache directory, and loaded with :mod:`ctypes`. Everything is
-best-effort: no compiler, a failed compile, or ``REPRO_NATIVE=0`` simply
-means the ``*_fn`` accessors return ``None`` and callers stay on the
-pure-Python loops — results are bit-identical either way, the native
-kernels are only faster.
+``multiwalk.c`` (the fused N-domain, epoch-resumable lean replay
+loop), ``batchwalk.c`` (the batched, multi-threaded driver that replays
+a whole roster of independent cells in one call) and ``epochbatch.c``
+(the batched driver made epoch-resumable: one threaded call advances
+every *active* cell by one epoch, host-side controller logic in
+between) live next to this module. Each is compiled once per (source
+revision, flag set) with whatever ``cc``/``gcc`` the host offers,
+cached as a shared object under the trace-pack cache directory, and
+loaded with :mod:`ctypes`. Everything is best-effort: no compiler, a
+failed compile, or ``REPRO_NATIVE=0`` simply means the ``*_fn``
+accessors return ``None`` and callers stay on the pure-Python epoch
+driver — results are bit-identical either way, the native kernels are
+only faster.
 
 "Best-effort" no longer means "silent": the first failure per kernel is
 recorded and :func:`kernel_status` reports it, so ``repro trace-sweep
@@ -39,7 +38,6 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 
 # kernel name -> (C source next to this module, exported symbols)
 _KERNELS = {
-    "pairwalk": ("pairwalk.c", ("repro_pair_walk",)),
     "multiwalk": ("multiwalk.c", ("repro_multi_walk",)),
     "batchwalk": (
         "batchwalk.c",
@@ -274,16 +272,6 @@ def _load(name):
 def _symbol(name, symbol):
     fns = _load(name)
     return None if fns is None else fns.get(symbol)
-
-
-def pair_walk_fn():
-    """The compiled ``repro_pair_walk`` entry point, or ``None``.
-
-    The function takes raw pointers (as ``ctypes.c_void_p``) to the
-    int64 column/state arrays plus the int32 recency tables; see
-    pairwalk.c for the exact argument and ``cfg``/``out`` layouts.
-    """
-    return _symbol("pairwalk", "repro_pair_walk")
 
 
 def multi_walk_fn():

@@ -15,6 +15,23 @@ from repro.util.errors import ValidationError
 _ENV_WORKERS = "REPRO_WORKERS"
 
 
+class _TaskCall:
+    """``fn`` run in a worker, its outcome returned as ``(ok, value)``.
+
+    A task's own exception travels back as a value, so the parent can
+    re-raise it once instead of mistaking it for a pool failure.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, item):
+        try:
+            return True, self.fn(item)
+        except Exception as exc:
+            return False, exc
+
+
 def resolve_workers(workers=None):
     """Turn a worker request into a concrete positive count.
 
@@ -116,9 +133,10 @@ def parallel_map(
     process may actually use (``cap_to_cpus=False`` disables this, for
     tests that must exercise the pool machinery regardless of host).
     If the pool cannot be created or fails mid-flight (sandboxes without
-    fork, unpicklable work), the whole map silently re-runs serially:
-    parallelism is a wall-clock optimization, never a correctness
-    dependency.
+    fork, unpicklable work, a crashed worker), the whole map re-runs
+    serially: parallelism is a wall-clock optimization, never a
+    correctness dependency. An exception raised by ``fn`` itself is not
+    a pool failure: it propagates once, exactly as on the serial path.
     """
     if pack_paths:
         initializer, initargs = pack_initializer(
@@ -134,10 +152,21 @@ def parallel_map(
     workers = min(workers, len(items))
     if chunksize is None:
         chunksize = max(1, len(items) // (workers * 4))
-    try:
-        import concurrent.futures
-        import multiprocessing
+    import concurrent.futures
+    import multiprocessing
+    import pickle
+    from concurrent.futures.process import BrokenProcessPool
 
+    # What a pool can fail with: no fork or semaphores (OSError), a dead
+    # worker or failed initializer (BrokenProcessPool), and unpicklable
+    # work, which pickle reports as PicklingError, AttributeError
+    # ("Can't pickle local object") or TypeError ("cannot pickle ...").
+    # Task exceptions never land here: _TaskCall returns them as values.
+    pool_failures = (
+        OSError, BrokenProcessPool, pickle.PicklingError, AttributeError,
+        TypeError,
+    )
+    try:
         context = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
@@ -145,8 +174,12 @@ def parallel_map(
             initializer=initializer,
             initargs=initargs,
         ) as executor:
-            return list(executor.map(fn, items, chunksize=chunksize))
-    except (ValidationError, KeyboardInterrupt):
-        raise
-    except Exception:
+            outcomes = list(
+                executor.map(_TaskCall(fn), items, chunksize=chunksize)
+            )
+    except pool_failures:
         return _serial_map(fn, items, initializer, initargs)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]

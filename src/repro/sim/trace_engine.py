@@ -8,6 +8,7 @@ partitioning effects on *actual line replacement* can be measured — the
 ground truth the occupancy model approximates.
 """
 
+import contextlib
 import gc
 import heapq
 from dataclasses import dataclass, field
@@ -17,10 +18,9 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.perf import engine_counters as ec
 from repro.util.errors import ValidationError
 
-# The pack walk returns int level codes; these map them back to the
-# (name, latency) pairs the generic walk reports.
+# The replay drivers count hits per level in this order; these are the
+# level names the generic walk reports.
 _LEVEL_NAMES = ("L1", "L2", "LLC", "MEM")
-_LEVEL_LATENCIES = (4, 12, 30, 200)
 
 
 @dataclass
@@ -75,13 +75,101 @@ class DynamicTraceResult:
     native: bool
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause cyclic GC: replay loops allocate only transient ints, so
+    collection passes are pure overhead for their duration."""
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _acquire_packs(workloads, packs, pack_cache, pack_store):
+    """Read-only packs aligned with ``workloads``, or ``None``.
+
+    ``packs`` passes through when given (it must align); otherwise each
+    trace is compiled or loaded through the pack cache. ``None`` means
+    no pack driver applies: a factory is not pack-compilable, or a pack
+    carries writes.
+    """
+    if packs is None:
+        from repro.workloads.trace import _TraceBase
+        from repro.workloads.tracepack import get_pack
+
+        packs = []
+        for w in workloads:
+            source = w.trace_factory()
+            if not isinstance(source, _TraceBase):
+                return None
+            packs.append(get_pack(source, cache=pack_cache, store=pack_store))
+    elif len(packs) != len(workloads):
+        raise ValidationError("need one pack per workload")
+    if any(p.writes_list() is not None for p in packs):
+        return None
+    return packs
+
+
+def _llc_columns(llc):
+    """``(num_sets, indexing)`` naming the packs' LLC set column."""
+    return llc.num_sets, "mod" if llc._mod_mask >= 0 else "hash"
+
+
+def _build_replay(hierarchy, workloads, cores, packs):
+    """The epoch replay driver for one co-run, or ``None``.
+
+    The native ``multiwalk.c`` driver when it applies, else the
+    pure-Python one; ``None`` when the lean walk cannot replay this
+    hierarchy (see :func:`repro.cache.kernel.build_python_epoch_replay`).
+    """
+    from repro.cache.kernel import (
+        build_native_epoch_replay,
+        build_python_epoch_replay,
+    )
+
+    thinks = [w.think_cycles for w in workloads]
+    repeats = [w.repeat for w in workloads]
+    lengths = [len(p.line) for p in packs]
+    columns = _llc_columns(hierarchy.llc.storage)
+    replay = build_native_epoch_replay(
+        hierarchy, cores, thinks,
+        [p.line for p in packs],
+        [p.set_column(*columns) for p in packs],
+        lengths, repeats,
+    )
+    if replay is None:
+        replay = build_python_epoch_replay(
+            hierarchy, cores, thinks,
+            [p.lines_list() for p in packs],
+            [p.sets_list(*columns) for p in packs],
+            lengths, repeats,
+        )
+    return replay
+
+
+def _timeline_entry(epoch, controller, new_masks):
+    """One reallocation record for :attr:`DynamicTraceResult.timeline`."""
+    act = controller.actions[-1]
+    return {
+        "epoch": epoch,
+        "time_s": act.time_s,
+        "fg_ways": act.fg_ways,
+        "reason": act.reason,
+        "mpki": act.mpki,
+        "masks": {n: m.bits for n, m in sorted(new_masks.items())},
+    }
+
+
 class TraceEngine:
     """Virtual-time interleaving of traces over one cache hierarchy.
 
     ``backend`` picks the cache implementation when no hierarchy is
-    supplied: ``"object"`` (reference model), ``"kernel"`` (flat-array
-    kernel, bit-identical and much faster), or ``"seed"`` (the
-    pre-optimization object model, kept for benchmarking). With all
+    supplied: ``"object"`` (reference model) or ``"kernel"`` (flat-array
+    kernel, bit-identical and much faster). With all
     prefetchers off the run loop dispatches through the hierarchy's
     allocation-free fast path; ``fast_loop=False`` forces the original
     per-access protocol (results are identical either way).
@@ -166,18 +254,17 @@ class TraceEngine:
         """Co-run over compiled trace packs; bit-identical to :meth:`run`.
 
         Each workload's trace is compiled (or loaded from the pack cache)
-        into columnar arrays once, and the run loop feeds raw line
-        numbers and precomputed LLC set indices straight into a fused
-        pack walk — no generator resumption, no ``MemoryAccess``
-        materialization, and no set hashing per access. The walk returns
-        each access's whole virtual-time advance and counts hit levels
-        internally, so the scheduling loops reduce to a few ops per
-        access; when every pack is read-only the still-leaner read-only
-        walk variant engages. ``packs`` optionally supplies pre-compiled
-        packs aligned with ``workloads``. Falls back to :meth:`run`
-        whenever the fast path does not apply (prefetchers on,
-        non-kernel backend, non-compilable trace factory, or two
-        workloads on one core).
+        into columnar arrays once, and the whole run is ONE epoch of the
+        pack replay driver: the native ``multiwalk.c`` kernel when it is
+        available, else the pure-Python
+        :class:`~repro.cache.kernel.PythonEpochReplay` —
+        no generator resumption, no ``MemoryAccess`` materialization,
+        and no set hashing per access. ``packs`` optionally supplies
+        pre-compiled packs aligned with ``workloads``. Falls back to
+        :meth:`run` whenever neither driver applies: prefetchers on, a
+        non-compilable trace factory, a write-bearing pack, two
+        workloads on one core, or a hierarchy the lean walk cannot
+        replay (non-kernel backend, dirty state, other inner geometry).
         """
         if not workloads:
             raise ValidationError("need at least one workload")
@@ -188,171 +275,19 @@ class TraceEngine:
         hierarchy = self.hierarchy
         if not self.fast_loop or hierarchy.prefetchers_enabled():
             return self.run(workloads, total_accesses)
+        packs = _acquire_packs(workloads, packs, pack_cache, pack_store)
         if packs is None:
-            from repro.workloads.trace import _TraceBase
-            from repro.workloads.tracepack import get_pack
-
-            packs = []
-            for w in workloads:
-                source = w.trace_factory()
-                if not isinstance(source, _TraceBase):
-                    return self.run(workloads, total_accesses)
-                packs.append(
-                    get_pack(source, cache=pack_cache, store=pack_store)
-                )
-        elif len(packs) != len(workloads):
-            raise ValidationError("need one pack per workload")
-
-        from repro.cache.kernel import (
-            build_lean_pair_walk,
-            build_native_epoch_replay,
-            build_native_pair_walk,
-            build_pack_walk,
-        )
-
-        core_of = hierarchy.core_of_tid
-        cores = [core_of(w.tid) for w in workloads]
-        if len(set(cores)) != len(cores):
-            # Two walkers on one core would each hoist that core's L1
-            # state; the generic path handles shared cores.
             return self.run(workloads, total_accesses)
-        thinks = [w.think_cycles for w in workloads]
-        llc = hierarchy.llc.storage
-        llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
-        built = None
-        pair = None
-        native_pair = False
-        lean = all(p.writes_list() is None for p in packs)
-        if lean and len(workloads) == 2:
-            # Fastest shape: both walks and the scheduler fused into one
-            # loop over the packs' raw int64 columns — the compiled
-            # kernel when a C toolchain is available, else the
-            # all-locals Python frame (see build_lean_pair_walk).
-            pair = build_native_pair_walk(hierarchy, cores, thinks)
-            native_pair = pair is not None
-            if pair is None:
-                pair = build_lean_pair_walk(hierarchy, cores, thinks)
-        if pair is None and lean and len(workloads) >= 3:
-            # N-domain lean co-runs replay as one whole-run epoch of the
-            # resumable multiwalk kernel, retiring `_packed_heap` from
-            # the hot path (it stays as the no-native fallback and the
-            # reference the lockstep tests replay against).
-            raw_lines = [p.line for p in packs]
-            raw_sets = [
-                p.set_column(llc.num_sets, llc_indexing) for p in packs
-            ]
-            multi = build_native_epoch_replay(
-                hierarchy, cores, thinks, raw_lines, raw_sets,
-                [len(c) for c in raw_lines],
-                [w.repeat for w in workloads],
-            )
-            if multi is not None:
-                gc_was_enabled = gc.isenabled()
-                if gc_was_enabled:
-                    gc.disable()
-                try:
-                    multi.run_epoch(total_accesses)
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
-                grabbed, multi_vtimes = multi.finish()
-                return self._packed_stats(
-                    workloads, list(grabbed), list(multi_vtimes), packs
-                )
-        if pair is None and lean:
-            built = [
-                build_pack_walk(hierarchy, core, think_cycles=think, lean=True)
-                for core, think in zip(cores, thinks)
-            ]
-            if any(b is None for b in built):
-                built = None
-                lean = False
-        if pair is None and built is None:
-            built = [
-                build_pack_walk(hierarchy, core, think_cycles=think)
-                for core, think in zip(cores, thinks)
-            ]
-            if any(b is None for b in built):
-                return self.run(workloads, total_accesses)
-        if built is not None:
-            walks = [b[0] for b in built]
-            flushes = [b[1] for b in built]
-            reports = [b[2] for b in built]
-
-        if native_pair:
-            # The compiled kernel consumes the columns as raw int64
-            # arrays (memmap-backed for disk packs) — no list
-            # materialization at all.
-            lines = [p.line for p in packs]
-            sets = [p.set_column(llc.num_sets, llc_indexing) for p in packs]
-        else:
-            lines = [p.lines_list() for p in packs]
-            sets = [p.sets_list(llc.num_sets, llc_indexing) for p in packs]
-        lengths = [len(col) for col in lines]
-        repeats = [w.repeat for w in workloads]
-        writes = (
-            None
-            if lean
-            else [
-                p.writes_list() or [False] * n
-                for p, n in zip(packs, lengths)
-            ]
+        cores = [hierarchy.core_of_tid(w.tid) for w in workloads]
+        replay = _build_replay(hierarchy, workloads, cores, packs)
+        if replay is None:
+            return self.run(workloads, total_accesses)
+        with _gc_paused():
+            replay.run_epoch(total_accesses)
+        grabbed, vtimes = replay.finish()
+        return self._packed_stats(
+            workloads, list(grabbed), list(vtimes), packs
         )
-        vtimes = [0] * len(workloads)
-
-        # The replay loops allocate only transient ints; cyclic GC passes
-        # are pure overhead here, so pause collection for the duration.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        if pair is not None:
-            loop, finish = pair
-            try:
-                res = loop(
-                    lines[0], sets[0], lines[1], sets[1], lengths[0],
-                    lengths[1], repeats[0], repeats[1], total_accesses,
-                )
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            grabbed, pair_vtimes = finish(res)
-            vtimes[:] = pair_vtimes
-            return self._packed_stats(workloads, grabbed, vtimes, packs)
-        try:
-            if len(workloads) == 1:
-                if lean:
-                    vtimes[0] = self._packed_one_lean(
-                        walks[0], lines[0], sets[0], lengths[0], repeats[0],
-                        total_accesses,
-                    )
-                else:
-                    vtimes[0] = self._packed_one(
-                        walks[0], lines[0], sets[0], writes[0], lengths[0],
-                        repeats[0], total_accesses,
-                    )
-            elif len(workloads) == 2:
-                if lean:
-                    vtimes[:] = self._packed_two_lean(
-                        walks, lines, sets, lengths, repeats, reports,
-                        total_accesses,
-                    )
-                else:
-                    vtimes[:] = self._packed_two(
-                        walks, lines, sets, writes, lengths, repeats,
-                        reports, total_accesses,
-                    )
-            else:
-                self._packed_heap(
-                    walks, lines, sets, writes, lengths, repeats, vtimes,
-                    total_accesses, lean,
-                )
-            grabbed = [report() for report in reports]
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            for flush in flushes:
-                flush()
-        return self._packed_stats(workloads, grabbed, vtimes, packs)
 
     def run_dynamic(self, workloads, controller, epoch_accesses=5_000,
                     total_accesses=100_000, packs=None, pack_cache=None,
@@ -383,29 +318,12 @@ class TraceEngine:
             raise ValidationError(
                 "run_dynamic needs the fast loop with prefetchers off"
             )
+        packs = _acquire_packs(workloads, packs, pack_cache, pack_store)
         if packs is None:
-            from repro.workloads.trace import _TraceBase
-            from repro.workloads.tracepack import get_pack
-
-            packs = []
-            for w in workloads:
-                source = w.trace_factory()
-                if not isinstance(source, _TraceBase):
-                    raise ValidationError(
-                        f"workload {w.name!r} is not pack-compilable"
-                    )
-                packs.append(
-                    get_pack(source, cache=pack_cache, store=pack_store)
-                )
-        elif len(packs) != len(workloads):
-            raise ValidationError("need one pack per workload")
-        if any(p.writes_list() is not None for p in packs):
             raise ValidationError(
-                "run_dynamic supports read-only (lean) traces only"
+                "run_dynamic needs pack-compilable, read-only traces"
             )
-
-        core_of = hierarchy.core_of_tid
-        cores = [core_of(w.tid) for w in workloads]
+        cores = [hierarchy.core_of_tid(w.tid) for w in workloads]
         if len(set(cores)) != len(cores):
             raise ValidationError("workloads must run on distinct cores")
         core_by_name = dict(zip(names, cores))
@@ -418,34 +336,13 @@ class TraceEngine:
         for name, mask in initial.items():
             hierarchy.set_way_mask(core_by_name[name], mask)
 
-        from repro.cache.kernel import (
-            build_native_epoch_replay,
-            build_python_epoch_replay,
-        )
         from repro.core.dynamic import mpki_window
 
-        thinks = [w.think_cycles for w in workloads]
-        llc = hierarchy.llc.storage
-        llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
-        repeats = [w.repeat for w in workloads]
-        lengths = [len(p.line) for p in packs]
-        replay = build_native_epoch_replay(
-            hierarchy, cores, thinks,
-            [p.line for p in packs],
-            [p.set_column(llc.num_sets, llc_indexing) for p in packs],
-            lengths, repeats,
-        )
-        if replay is None:
-            replay = build_python_epoch_replay(
-                hierarchy, cores, thinks,
-                [p.lines_list() for p in packs],
-                [p.sets_list(llc.num_sets, llc_indexing) for p in packs],
-                lengths, repeats,
-            )
+        replay = _build_replay(hierarchy, workloads, cores, packs)
         if replay is None:
             raise ValidationError(
                 "run_dynamic needs the lean kernel replay (kernel "
-                "backend, read-only traces, no profiler attached)"
+                "backend, 8-way inner levels, clean dirty/prefetch state)"
             )
 
         period_s = controller.period_s
@@ -453,10 +350,7 @@ class TraceEngine:
         timeline = []
         epoch = 0
         issued = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with _gc_paused():
             while issued < total_accesses:
                 target = issued + epoch_accesses
                 if target > total_accesses:
@@ -482,21 +376,9 @@ class TraceEngine:
                     for name, mask in new_masks.items():
                         hierarchy.set_way_mask(core_by_name[name], mask)
                     replay.refresh_masks()
-                    act = controller.actions[-1]
-                    timeline.append({
-                        "epoch": epoch,
-                        "time_s": act.time_s,
-                        "fg_ways": act.fg_ways,
-                        "reason": act.reason,
-                        "mpki": act.mpki,
-                        "masks": {
-                            n: m.bits
-                            for n, m in sorted(new_masks.items())
-                        },
-                    })
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+                    timeline.append(
+                        _timeline_entry(epoch, controller, new_masks)
+                    )
         grabbed, vtimes = replay.finish()
         stats = self._packed_stats(
             workloads, list(grabbed), list(vtimes), packs
@@ -531,172 +413,6 @@ class TraceEngine:
         ec.add(ec.TRACE_ACCESSES, issued)
         ec.add(ec.PACK_REPLAYS, len(packs))
         return {w.name: stats_list[i] for i, w in enumerate(workloads)}
-
-    @staticmethod
-    def _packed_one_lean(walk, line_list, set_list, length, repeat, total):
-        """Single-domain read-only replay: chunked, bounds-check-free."""
-        if not length:
-            return 0
-        vtime = 0
-        issued = 0
-        i = 0
-        while issued < total:
-            chunk = total - issued
-            rem = length - i
-            if chunk > rem:
-                chunk = rem
-            end = i + chunk
-            for j in range(i, end):
-                vtime += walk(line_list[j], set_list[j])
-            issued += chunk
-            i = end
-            if i == length:
-                if not repeat:
-                    break
-                i = 0
-        return vtime
-
-    @staticmethod
-    def _packed_one(walk, line_list, set_list, write_list, length, repeat,
-                    total):
-        """Single-domain replay, general (read/write) walk."""
-        if not length:
-            return 0
-        vtime = 0
-        issued = 0
-        i = 0
-        while issued < total:
-            chunk = total - issued
-            rem = length - i
-            if chunk > rem:
-                chunk = rem
-            end = i + chunk
-            for j in range(i, end):
-                vtime += walk(line_list[j], set_list[j], write_list[j])
-            issued += chunk
-            i = end
-            if i == length:
-                if not repeat:
-                    break
-                i = 0
-        return vtime
-
-    @staticmethod
-    def _packed_two_lean(walks, lines, sets, lengths, repeats, reports,
-                         total):
-        """Two-domain read-only replay, heap replaced by one comparison.
-
-        ``(vtime, slot)`` heap order with two live slots reduces to
-        "lower vtime first, slot 0 on ties" — exactly ``t0 <= t1``. The
-        issue budget runs as a plain ``for`` with no per-access counter;
-        on the rare retire of a non-repeating trace the count so far is
-        recovered from the walks' level counters.
-        """
-        walk0, walk1 = walks
-        l0, l1 = lines
-        s0, s1 = sets
-        n0, n1 = lengths
-        rep0, rep1 = repeats
-        t0 = t1 = 0
-        i0 = i1 = 0
-        live0, live1 = n0 > 0, n1 > 0
-        issued = 0
-        while issued < total and (live0 or live1):
-            retired = False
-            for _ in range(total - issued):
-                if live0 and (not live1 or t0 <= t1):
-                    if i0 == n0:
-                        if not rep0:
-                            live0 = False
-                            retired = True
-                            break
-                        i0 = 0
-                    t0 += walk0(l0[i0], s0[i0])
-                    i0 += 1
-                elif live1:
-                    if i1 == n1:
-                        if not rep1:
-                            live1 = False
-                            retired = True
-                            break
-                        i1 = 0
-                    t1 += walk1(l1[i1], s1[i1])
-                    i1 += 1
-                else:
-                    break
-            if not retired:
-                break
-            issued = sum(reports[0]()) + sum(reports[1]())
-        return t0, t1
-
-    @staticmethod
-    def _packed_two(walks, lines, sets, writes, lengths, repeats, reports,
-                    total):
-        """Two-domain replay, general (read/write) walks."""
-        walk0, walk1 = walks
-        l0, l1 = lines
-        s0, s1 = sets
-        w0, w1 = writes
-        n0, n1 = lengths
-        rep0, rep1 = repeats
-        t0 = t1 = 0
-        i0 = i1 = 0
-        live0, live1 = n0 > 0, n1 > 0
-        issued = 0
-        while issued < total and (live0 or live1):
-            retired = False
-            for _ in range(total - issued):
-                if live0 and (not live1 or t0 <= t1):
-                    if i0 == n0:
-                        if not rep0:
-                            live0 = False
-                            retired = True
-                            break
-                        i0 = 0
-                    t0 += walk0(l0[i0], s0[i0], w0[i0])
-                    i0 += 1
-                elif live1:
-                    if i1 == n1:
-                        if not rep1:
-                            live1 = False
-                            retired = True
-                            break
-                        i1 = 0
-                    t1 += walk1(l1[i1], s1[i1], w1[i1])
-                    i1 += 1
-                else:
-                    break
-            if not retired:
-                break
-            issued = sum(reports[0]()) + sum(reports[1]())
-        return t0, t1
-
-    @staticmethod
-    def _packed_heap(walks, lines, sets, writes, lengths, repeats, vtimes,
-                     total, lean):
-        """General N-domain replay over the same (vtime, slot) heap."""
-        heap = [(0, i) for i in range(len(walks)) if lengths[i]]
-        heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        positions = [0] * len(walks)
-        issued = 0
-        while heap and issued < total:
-            vtime, slot = heappop(heap)
-            i = positions[slot]
-            if i == lengths[slot]:
-                if not repeats[slot]:
-                    continue
-                i = 0
-            if lean:
-                vtime += walks[slot](lines[slot][i], sets[slot][i])
-            else:
-                vtime += walks[slot](
-                    lines[slot][i], sets[slot][i], writes[slot][i]
-                )
-            positions[slot] = i + 1
-            vtimes[slot] = vtime
-            issued += 1
-            heappush(heap, (vtime, slot))
 
 
 def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
@@ -814,37 +530,26 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
         if len(set(names)) != len(names):
             raise ValidationError("workload names must be unique per cell")
 
-    if sequential or prefetchers_on:
+    def fallback():
         return _run_roster_sequential(
             cells, prefetchers_on, backend, pack_cache, pack_store
         )
 
-    from repro.workloads.trace import _TraceBase
-    from repro.workloads.tracepack import get_pack
+    if sequential or prefetchers_on:
+        return fallback()
 
     cell_packs = []
     for cell in cells:
-        packs = []
-        for w in cell.workloads:
-            source = w.trace_factory()
-            if not isinstance(source, _TraceBase):
-                packs = None
-                break
-            packs.append(
-                get_pack(source, cache=pack_cache, store=pack_store)
-            )
+        packs = _acquire_packs(cell.workloads, None, pack_cache, pack_store)
         if packs is None:
-            return _run_roster_sequential(
-                cells, prefetchers_on, backend, pack_cache, pack_store
-            )
+            return fallback()
         cell_packs.append(packs)
 
     from repro.cache.kernel import build_native_batch_replay
 
     template = TraceEngine(prefetchers_on=False, backend=backend)
     h = template.hierarchy
-    llc = h.llc.storage
-    llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
+    columns = _llc_columns(h.llc.storage)
     core_of = h.core_of_tid
     default_bits = h.llc._mask_bits
 
@@ -852,11 +557,7 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
     for cell, packs in zip(cells, cell_packs):
         cores = [core_of(w.tid) for w in cell.workloads]
         if len(set(cores)) != len(cores):
-            cell_dicts = None
-            break
-        if any(p.writes_list() is not None for p in packs):
-            cell_dicts = None
-            break
+            return fallback()
         mask_bits = None
         if cell.masks:
             mask_bits = [
@@ -868,30 +569,18 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
             "thinks": [w.think_cycles for w in cell.workloads],
             "mask_bits": mask_bits,
             "lines": [p.line for p in packs],
-            "sets": [
-                p.set_column(llc.num_sets, llc_indexing) for p in packs
-            ],
+            "sets": [p.set_column(*columns) for p in packs],
             "lengths": [len(p.line) for p in packs],
             "repeats": [w.repeat for w in cell.workloads],
             "stop": cell.total_accesses,
         })
 
-    batch = None
-    if cell_dicts is not None:
-        batch = build_native_batch_replay(h, cell_dicts, threads=threads)
+    batch = build_native_batch_replay(h, cell_dicts, threads=threads)
     if batch is None:
-        return _run_roster_sequential(
-            cells, prefetchers_on, backend, pack_cache, pack_store
-        )
+        return fallback()
 
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with _gc_paused():
         outcomes = batch.run()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     ec.add(ec.BATCH_CALLS)
     ec.add(ec.BATCH_CELLS, len(cells))
     return [
@@ -983,9 +672,6 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
     if sequential or prefetchers_on:
         return fallback()
 
-    from repro.workloads.trace import _TraceBase
-    from repro.workloads.tracepack import get_pack
-
     cell_packs = []
     for cell in cells:
         names = [w.name for w in cell.workloads]
@@ -995,16 +681,8 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
             or cell.epoch_accesses < 1
         ):
             return fallback()
-        packs = []
-        for w in cell.workloads:
-            source = w.trace_factory()
-            if not isinstance(source, _TraceBase):
-                packs = None
-                break
-            packs.append(
-                get_pack(source, cache=pack_cache, store=pack_store)
-            )
-        if packs is None or any(p.writes_list() is not None for p in packs):
+        packs = _acquire_packs(cell.workloads, None, pack_cache, pack_store)
+        if packs is None:
             return fallback()
         cell_packs.append(packs)
 
@@ -1013,8 +691,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
 
     template = TraceEngine(prefetchers_on=False, backend=backend)
     h = template.hierarchy
-    llc = h.llc.storage
-    llc_indexing = "mod" if llc._mod_mask >= 0 else "hash"
+    columns = _llc_columns(h.llc.storage)
     core_of = h.core_of_tid
 
     cell_dicts = []
@@ -1031,9 +708,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
             "thinks": [w.think_cycles for w in cell.workloads],
             "mask_bits": [initial[name].bits for name in names],
             "lines": [p.line for p in packs],
-            "sets": [
-                p.set_column(llc.num_sets, llc_indexing) for p in packs
-            ],
+            "sets": [p.set_column(*columns) for p in packs],
             "lengths": [len(p.line) for p in packs],
             "repeats": [w.repeat for w in cell.workloads],
             "stop": 0,  # nothing runs until the host loop sets targets
@@ -1054,10 +729,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
     prev = np.zeros_like(bank)
     active = [r for r in range(R) if issued[r] < totals[r]]
 
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with _gc_paused():
         while active:
             for r in active:
                 target = issued[r] + cells[r].epoch_accesses
@@ -1098,24 +770,12 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
                     slot_of = {name: i for i, name in enumerate(names)}
                     for name, mask in new_masks.items():
                         batch.set_mask_bits(r, slot_of[name], mask.bits)
-                    act = controller.actions[-1]
-                    timelines[r].append({
-                        "epoch": epochs[r],
-                        "time_s": act.time_s,
-                        "fg_ways": act.fg_ways,
-                        "reason": act.reason,
-                        "mpki": act.mpki,
-                        "masks": {
-                            n: m.bits
-                            for n, m in sorted(new_masks.items())
-                        },
-                    })
+                    timelines[r].append(
+                        _timeline_entry(epochs[r], controller, new_masks)
+                    )
                 if issued[r] < totals[r]:
                     still.append(r)
             active = still
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     results = []
     for r, (cell, packs) in enumerate(zip(cells, cell_packs)):

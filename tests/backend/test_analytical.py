@@ -131,3 +131,52 @@ class TestDynamic:
         fop = get_application("fop")
         outcome = policy_dynamic(backend, PairSpec(fg=fop, bg=fop))
         assert outcome.bg_name == "fop#2"
+
+
+class TestBandwidthQosDeclinesGrid:
+    """The grid solver resolves DRAM contention from the config, so a
+    QoS-wrapped DRAM channel must send sweeps to the scalar engine."""
+
+    @pytest.fixture
+    def qos_backend(self):
+        from repro.sim.engine import Machine
+
+        return AnalyticalBackend(Machine())
+
+    @staticmethod
+    def _costs(measurements):
+        return [(m.fg_ways, m.fg_cost, m.bg_rate) for m in measurements]
+
+    def test_sweep_under_qos_equals_scalar_co_runs(self, qos_backend):
+        from repro.core import QosContract, apply_qos
+        from repro.perf import engine_counters as ec
+
+        victim = get_application("462.libquantum")
+        hog = get_application("stream_uncached")
+        spec = AnalyticalBackend.pair_spec(victim, hog)
+        contract = QosContract(victim.name, reserved_fraction=0.35,
+                               latency_priority=True)
+        restore = apply_qos(qos_backend.machine, [contract])
+        try:
+            base = ec.engine_counters().snapshot()
+            sweep = qos_backend.sweep(spec)
+            grid_calls = ec.engine_counters().delta(base).get(
+                ec.GRID_CALLS, 0
+            )
+            scalar = [qos_backend.co_run(spec, WaySplit.disjoint(w, 12))
+                      for w, _ in sweep]
+            batch = qos_backend.co_run_grid(
+                [(spec, WaySplit.disjoint(w, 12)) for w, _ in sweep]
+            )
+        finally:
+            restore()
+        assert grid_calls == 0
+        assert self._costs(m for _, m in sweep) == self._costs(scalar)
+        assert self._costs(batch) == self._costs(scalar)
+
+        # Restored to the stock channel, the grid serves the sweep again
+        # and QoS no longer shows in the numbers.
+        base = ec.engine_counters().snapshot()
+        stock = qos_backend.sweep(spec)
+        assert ec.engine_counters().delta(base).get(ec.GRID_CALLS, 0) > 0
+        assert self._costs(m for _, m in stock) != self._costs(scalar)

@@ -22,15 +22,12 @@ def _fresh_loader(monkeypatch, tmp_path):
 class TestKernelStatus:
     def test_reports_every_kernel(self):
         status = native.kernel_status()
-        assert set(status) == {
-            "pairwalk", "multiwalk", "batchwalk", "epochbatch"
-        }
+        assert set(status) == {"multiwalk", "batchwalk", "epochbatch"}
 
     def test_ok_when_compiled(self):
         if native.multi_walk_fn() is None:
             pytest.skip("no C compiler on this host")
         status = native.kernel_status()
-        assert status["pairwalk"] == "ok"
         assert status["multiwalk"] == "ok"
         # The run_items-pool kernels' ok carries their threading mode,
         # e.g. "ok [openmp]" or "ok [serial; openmp probe failed: ...]".
@@ -42,7 +39,6 @@ class TestKernelStatus:
     def test_disabled_reason_names_the_gate(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
-        assert native.pair_walk_fn() is None
         assert native.multi_walk_fn() is None
         for reason in native.kernel_status().values():
             assert "REPRO_NATIVE" in reason and "'0'" in reason
@@ -83,7 +79,6 @@ class TestKernelStatus:
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
         text = format_engine_stat()
-        assert "native-kernel/pairwalk:" in text
         assert "native-kernel/multiwalk:" in text
         assert "native-kernel/batchwalk:" in text
         assert "native-kernel/epochbatch:" in text

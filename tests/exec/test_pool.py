@@ -265,3 +265,29 @@ class TestRunTasks:
             workers=2,
         )
         assert serial == parallel
+
+
+def _log_then_fail_on_three(args):
+    """Append the item to a log file (visible across processes)."""
+    path, x = args
+    with open(path, "a") as handle:
+        handle.write(f"{x}\n")
+    return _fail_on_three(x)
+
+
+class TestPoolFailureHandling:
+    def test_task_exception_propagates_once(self, tmp_path):
+        """A task's own error is not a pool failure: no serial re-run."""
+        log = tmp_path / "calls.txt"
+        items = [(str(log), x) for x in (1, 2, 3, 4)]
+        with pytest.raises(RuntimeError, match="boom"):
+            parallel_map(_log_then_fail_on_three, items, workers=2,
+                         cap_to_cpus=False)
+        calls = log.read_text().split()
+        assert calls.count("3") == 1
+        assert len(calls) == len(set(calls))
+
+    def test_task_validation_error_propagates(self):
+        with pytest.raises(ValidationError):
+            parallel_map(resolve_workers, [1, 0, 2], workers=2,
+                         cap_to_cpus=False)

@@ -1,6 +1,8 @@
-"""Property: the native multiwalk kernel is the heap scheduler, for any
-co-run shape — random per-domain lengths, think times, and repeat flags,
-including the all-retired early-exit and constant-tie cases."""
+"""Property: the native multiwalk kernel and the pure-Python epoch
+driver are the heap scheduler of ``TraceEngine.run``, for any co-run
+shape — 1 to 4 domains, random per-domain lengths, think times, and
+repeat flags, including the all-retired early-exit and constant-tie
+cases."""
 
 import os
 
@@ -62,8 +64,10 @@ def _make_workloads(lengths, thinks, repeats):
     ]
 
 
-def _run(workloads, packs, total):
-    ways_split = {3: (6, 3, 3), 4: (6, 2, 2, 2)}[len(workloads)]
+def _run(workloads, packs, total, packed=True):
+    ways_split = {
+        1: (12,), 2: (9, 3), 3: (6, 3, 3), 4: (6, 2, 2, 2),
+    }[len(workloads)]
     engine = TraceEngine(prefetchers_on=False, backend="kernel",
                          fast_loop=True)
     start = 0
@@ -71,7 +75,11 @@ def _run(workloads, packs, total):
         core = engine.hierarchy.core_of_tid(_TIDS[i])
         engine.hierarchy.set_way_mask(core, WayMask.contiguous(ways, start))
         start += ways
-    stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
+    if packed:
+        stats = engine.run_packed(workloads, total_accesses=total,
+                                  packs=packs)
+    else:
+        stats = engine.run(workloads, total_accesses=total)
     hierarchy = engine.hierarchy
     levels = list(hierarchy.l1) + list(hierarchy.l2) + [hierarchy.llc.storage]
     return (
@@ -88,7 +96,7 @@ def _run(workloads, packs, total):
 class TestMultiwalkProperty:
     @settings(max_examples=15, deadline=None)
     @given(
-        domains=st.integers(min_value=3, max_value=4),
+        domains=st.integers(min_value=1, max_value=4),
         data=st.data(),
     )
     def test_native_matches_heap_for_any_co_run(self, domains, data):
@@ -118,5 +126,7 @@ class TestMultiwalkProperty:
             for w in workloads
         ]
         native_sig = _run(workloads, packs, total)
-        heap_sig = _without_native(lambda: _run(workloads, packs, total))
+        python_sig = _without_native(lambda: _run(workloads, packs, total))
+        heap_sig = _run(workloads, packs, total, packed=False)
         assert native_sig == heap_sig
+        assert python_sig == heap_sig

@@ -1,8 +1,8 @@
 """The N-domain epoch-resumable replay and trace-driven dynamic runs.
 
-Three implementations must agree bit for bit on any co-run: the Python
-heap scheduler (``_packed_heap``), the pure-Python epoch driver, and the
-native ``multiwalk.c`` kernel. On top of that, splitting a run into
+Three implementations must agree bit for bit on any co-run: the heap
+scheduler of ``TraceEngine.run`` (the reference), the pure-Python epoch
+driver, and the native ``multiwalk.c`` kernel. On top of that, splitting a run into
 epochs — with or without way-mask changes at the boundaries — must be
 invisible to the simulated caches (the flush-free resume contract).
 """
@@ -253,15 +253,11 @@ class TestTieBreaking:
             engine.run_packed(workloads, total_accesses=total, packs=packs),
         )
 
-        def heap_run():
-            engine = _engine(3)
-            return _signature(
-                engine,
-                engine.run_packed(workloads, total_accesses=total,
-                                  packs=packs),
-            )
-
-        assert _without_native(heap_run) == native_sig
+        heap_engine = _engine(3)
+        heap_sig = _signature(
+            heap_engine, heap_engine.run(workloads, total_accesses=total)
+        )
+        assert heap_sig == native_sig
 
         py_engine = _engine(3)
         py = _build_replay(build_python_epoch_replay, py_engine, workloads,
@@ -276,7 +272,7 @@ class TestTieBreaking:
 
 
 class TestRunPackedMultiwalk:
-    """run_packed's N>=3 routing through the native kernel."""
+    """run_packed's N-domain routing: native kernel vs Python driver."""
 
     def test_four_domain_co_run_identical(self):
         workloads = _workloads(4)
@@ -287,7 +283,7 @@ class TestRunPackedMultiwalk:
         stats = engine.run_packed(workloads, total_accesses=total, packs=packs)
         native_sig = _signature(engine, stats)
 
-        def heap_run():
+        def python_run():
             engine = _engine(4)
             return _signature(
                 engine,
@@ -295,7 +291,7 @@ class TestRunPackedMultiwalk:
                                   packs=packs),
             )
 
-        assert _without_native(heap_run) == native_sig
+        assert _without_native(python_run) == native_sig
 
     def test_nonrepeating_domains_retire_identically(self):
         workloads = _workloads(3, length=1_500,
@@ -309,7 +305,7 @@ class TestRunPackedMultiwalk:
         assert stats["fg"].accesses == 1_500
         assert stats["bg2"].accesses == 1_500
 
-        def heap_run():
+        def python_run():
             engine = _engine(3)
             return _signature(
                 engine,
@@ -317,7 +313,7 @@ class TestRunPackedMultiwalk:
                                   packs=packs),
             )
 
-        assert _without_native(heap_run) == native_sig
+        assert _without_native(python_run) == native_sig
 
 
 class TestRunDynamic:

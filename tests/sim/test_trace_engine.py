@@ -1,7 +1,10 @@
 """The address-level co-execution engine."""
 
+import os
+
 import pytest
 
+from repro.cache.block import MemoryAccess
 from repro.cache.llc import WayMask
 from repro.sim.trace_engine import TraceEngine, TraceWorkload, measure_isolation
 from repro.util.errors import ValidationError
@@ -16,6 +19,33 @@ def chase(tid=0, ws=2 * MB, length=20_000):
         tid=tid,
         think_cycles=4,
     )
+
+
+class ReadWriteStream(StreamingTrace):
+    """A stream that stores to every third line: no shipped generator
+    emits writes, so this is the only way to build a write-bearing pack."""
+
+    def __iter__(self):
+        for i, acc in enumerate(super().__iter__()):
+            yield MemoryAccess(address=acc.address, is_write=i % 3 == 0,
+                               pc=acc.pc, tid=acc.tid)
+
+
+def _with_native(enabled, fn):
+    """Run ``fn`` with the native kernels enabled or force-disabled."""
+    from repro.cache import native
+
+    previous = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "1" if enabled else "0"
+    native.reset()
+    try:
+        return fn()
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = previous
+        native.reset()
 
 
 def stream(tid=2, length=20_000):
@@ -192,18 +222,18 @@ class TestRunPacked:
         assert packed == baseline
 
     def test_pair_co_run_identical(self):
-        """The two-domain fused walk (native when available)."""
+        """Two domains on the epoch replay (native when available)."""
         self._assert_identical(self._pair_workloads(), 16_000)
 
     def test_pair_co_run_identical_without_native(self, monkeypatch):
-        """REPRO_NATIVE=0 must fall back to the Python pair loop with
+        """REPRO_NATIVE=0 must fall back to the Python epoch driver with
         the exact same results."""
         from repro.cache import native
 
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
         try:
-            assert native.pair_walk_fn() is None
+            assert native.multi_walk_fn() is None
             self._assert_identical(self._pair_workloads(), 16_000)
         finally:
             native.reset()
@@ -213,8 +243,8 @@ class TestRunPacked:
         self._assert_identical(workloads, 8_000, partition=False)
 
     def test_three_workloads_identical(self):
-        """Three domains take the N-domain path (native multiwalk when
-        available, else the heap-scheduled walks)."""
+        """Three domains take the same epoch replay (native multiwalk
+        when available, else the Python epoch driver)."""
         workloads = self._pair_workloads() + [
             TraceWorkload(
                 "extra",
@@ -237,3 +267,63 @@ class TestRunPacked:
         )
         assert packed_stats == plain_stats
         assert packed_curves == plain_curves
+
+    def _group_workloads(self, domains, length=6_000):
+        extra = [
+            TraceWorkload(
+                "chase",
+                lambda: PointerChaseTrace(length, 1 * MB, tid=2, seed=3),
+                tid=2,
+                think_cycles=4,
+            ),
+            TraceWorkload(
+                "stream2",
+                lambda: StreamingTrace(length, 4 * MB, tid=6),
+                tid=6,
+                think_cycles=2,
+            ),
+        ]
+        return (self._pair_workloads(length=length) + extra)[:domains]
+
+    @pytest.mark.parametrize("native_on", [True, False],
+                             ids=["native", "python"])
+    @pytest.mark.parametrize("domains", [1, 2, 3, 4])
+    def test_profiled_sweep_packs_match_generator(self, domains, native_on):
+        """A profiled co-run replays its packs on the Python epoch
+        driver (the native kernel declines an attached profiler) and
+        must equal the generator path in stats and every curve."""
+        from repro.perf import engine_counters as ec
+        from repro.sim.trace_engine import way_allocation_sweep
+
+        workloads = self._group_workloads(domains)
+
+        def sweep(use_packs):
+            return way_allocation_sweep(
+                workloads, total_accesses=9_000, warmup_accesses=2_000,
+                use_packs=use_packs,
+            )
+
+        base = ec.engine_counters().snapshot()
+        packed = _with_native(native_on, lambda: sweep(True))
+        replays = ec.engine_counters().delta(base).get(ec.PACK_REPLAYS, 0)
+        plain = _with_native(native_on, lambda: sweep(False))
+        assert replays == 2 * domains  # warm-up and profiled pass
+        assert packed[0] == plain[0]
+        assert packed[1] == plain[1]
+
+    def test_write_bearing_packs_match_run(self):
+        """A pack that carries writes is served by run() itself."""
+        from repro.workloads import tracepack
+
+        workloads = [
+            TraceWorkload(
+                "rw",
+                lambda: ReadWriteStream(7_000, 2 * MB, tid=0),
+                tid=0,
+                think_cycles=3,
+            ),
+            self._pair_workloads()[1],
+        ]
+        pack = tracepack.get_pack(workloads[0].trace_factory())
+        assert pack.writes_list() is not None
+        self._assert_identical(workloads, 14_000)
