@@ -344,11 +344,15 @@ def trace_kind_factory(kind, length, footprint_mb=4.0, alpha=0.9, seed=1,
     from repro.workloads.trace import make_trace
 
     footprint = int(_mb(footprint_mb))
+    # A stencil's footprint is its grid: rows of StencilTrace's default
+    # 256 eight-byte elements, as many as fit in ``footprint_mb``.
+    row_bytes = 256 * 8
     positional, kwargs = {
         "zipf": ((footprint,), {"alpha": alpha, "seed": seed}),
         "stream": ((footprint,), {}),
         "stride": ((), {"stride": 256}),
         "chase": ((footprint,), {"seed": seed}),
+        "stencil": ((), {"rows": max(3, footprint // row_bytes)}),
     }.get(kind, ((footprint,), {}))
     return functools.partial(
         make_trace, kind, length, *positional, tid=tid, **kwargs

@@ -204,7 +204,8 @@ walk_cell(void *arg, i64 r)
         B->l2_tags + r * B->l2_tw, B->l2_valid + r * B->l2_s,
         B->l2_plru + r * B->l2_s,
         B->bi + r * B->bi_s,
-        B->sched + r * SCHED_SLOTS);
+        B->sched + r * SCHED_SLOTS,
+        NULL, NULL, NULL, NULL, 0);  /* no UMON in batched replays */
 }
 
 i64

@@ -1154,6 +1154,56 @@ def _store_l1_perm_state(l1, state, l1_perms):
     l1._clock = clock + 8
 
 
+def _umon_load(profiler):
+    """A :class:`~repro.cache.profile.WayProfiler`'s state as the four
+    flat int64 buffers ``multiwalk.c``'s ``umon_observe`` updates:
+    ``(stack, depth, hist, accesses)``, stacks padded to ``num_ways``
+    slots per (domain, set), most recent line first."""
+    import itertools
+
+    import numpy as np
+
+    i64 = np.int64
+    W = profiler.num_ways
+    flat = [stack for per_set in profiler._stacks for stack in per_set]
+    depth = np.fromiter(map(len, flat), dtype=i64, count=len(flat))
+    stack = np.zeros(len(flat) * W, dtype=i64)
+    total = int(depth.sum())
+    if total:
+        starts = np.cumsum(depth) - depth
+        rows = np.repeat(np.arange(len(flat), dtype=i64), depth)
+        within = np.arange(total, dtype=i64) - np.repeat(starts, depth)
+        stack[rows * W + within] = np.fromiter(
+            itertools.chain.from_iterable(flat), dtype=i64, count=total
+        )
+    hist = np.array(profiler._hist, dtype=i64).ravel()
+    accesses = np.array(profiler._accesses, dtype=i64)
+    return stack, depth, hist, accesses
+
+
+def _umon_store(profiler, loaded, stack, depth, hist, accesses):
+    """Write the :func:`_umon_load` buffers back into the profiler's
+    lists, so ``curves()``, ``snapshot()`` and a later replay see them.
+    Only the (domain, set) stacks that differ from ``loaded`` (the
+    ``(stack, depth)`` copies taken at load) are rebuilt."""
+    import numpy as np
+
+    W = profiler.num_ways
+    sets = profiler.num_sets
+    stack0, depth0 = loaded
+    changed = np.flatnonzero(
+        (stack != stack0).reshape(-1, W).any(axis=1) | (depth != depth0)
+    )
+    rows = stack.reshape(-1, W)[changed].tolist()
+    stacks = profiler._stacks
+    for i, row, n in zip(changed.tolist(), rows, depth[changed].tolist()):
+        del row[n:]
+        stacks[i // sets][i % sets] = row
+    for d in range(profiler.num_domains):
+        profiler._hist[d][:] = hist[d * (W + 1):(d + 1) * (W + 1)].tolist()
+    profiler._accesses[:] = accesses.tolist()
+
+
 def _rebuild_lookup(lookup, tags, valid, num_ways):
     """Regenerate per-set tag->way dicts from flat tag/valid state."""
     full = (1 << num_ways) - 1
@@ -1196,16 +1246,38 @@ def _epoch_replay_supported(hierarchy, cores):
     return all(_lean_walk_supported(hierarchy, core) for core in cores)
 
 
+def _profiler_matches_llc(hierarchy):
+    """Whether the attached ``llc_profiler`` indexes exactly like the
+    LLC: a :class:`~repro.cache.profile.WayProfiler` with the LLC's set
+    count, way count and indexer type, and one domain per core. Then
+    the packs' LLC set column is also the profiler's set index."""
+    from repro.cache.profile import WayProfiler
+
+    prof = hierarchy.llc_profiler
+    llc = hierarchy.llc.storage
+    return (
+        type(prof) is WayProfiler
+        and prof.num_sets == llc.num_sets
+        and prof.num_ways == llc.num_ways
+        and type(prof._indexer) is type(llc._indexer)
+        and prof.num_domains == hierarchy.num_cores
+    )
+
+
 def _native_layout_supported(hierarchy):
     """Extra guards of the compiled kernels.
 
-    No profiler may be attached (the C walk does not feed it), the LLC
-    mask must fit one int64 word, and every core's inner levels must be
-    8-way modulo-indexed kernel levels of one geometry, the uniform flat
-    layout the C code assumes.
+    An attached profiler must match the LLC's geometry
+    (:func:`_profiler_matches_llc`; ``multiwalk.c`` feeds it at every
+    LLC probe, the batched builders decline any profiler before this
+    check), the LLC mask must fit one int64 word, and every core's
+    inner levels must be 8-way modulo-indexed kernel levels of one
+    geometry, the uniform flat layout the C code assumes.
     """
     h = hierarchy
-    if h.llc_profiler is not None or h.llc.storage.num_ways > 62:
+    if h.llc.storage.num_ways > 62:
+        return False
+    if h.llc_profiler is not None and not _profiler_matches_llc(h):
         return False
     l1_mod = h.l1[0]._mod_mask
     l2_mod = h.l2[0]._mod_mask
@@ -1241,9 +1313,10 @@ class PythonEpochReplay:
     unique, so the scan order equals the ``(vtime, slot)`` heap order of
     :meth:`repro.sim.trace_engine.TraceEngine.run` and replays are
     bit-identical to both the object model and the native kernel. It
-    serves every read-only pack replay the native kernel declines,
-    including profiled ones: an attached ``llc_profiler`` sees each LLC
-    probe in issue order.
+    serves every read-only pack replay the native kernel declines —
+    ``REPRO_NATIVE=0``, no compiler, or an attached ``llc_profiler``
+    whose geometry does not match the LLC's — and an attached profiler
+    sees each LLC probe in issue order.
 
     The lean closures capture the LLC way-mask bits at build time, so
     :meth:`refresh_masks` synchronizes counters and recency state back
@@ -1366,7 +1439,9 @@ class NativeEpochReplay:
     the per-domain mask words, so a partition change between epochs
     costs nothing and flushes nothing. :meth:`finish` writes the final
     state back into the :class:`KernelCacheLevel` objects, so the
-    hierarchy ends exactly as the object model would leave it.
+    hierarchy ends exactly as the object model would leave it. An
+    attached ``llc_profiler`` is loaded into the kernel's UMON buffers
+    here and written back by :meth:`finish` the same way.
     """
 
     native = True
@@ -1468,6 +1543,11 @@ class NativeEpochReplay:
         sched = np.zeros(1, dtype=i64)
         self._bi, self._sched = bi, sched
 
+        self._prof = h.llc_profiler
+        umon = () if self._prof is None else _umon_load(self._prof)
+        self._umon = umon
+        self._umon_loaded = tuple(a.copy() for a in umon[:2])
+
         # Every buffer is owned by self (or a process-wide table memo),
         # so its address is stable for the driver's lifetime: bind the
         # whole ctypes argument list once.
@@ -1481,7 +1561,11 @@ class NativeEpochReplay:
             bi, sched,
         )
         self._keep = arrays
-        self._args = [ctypes.c_void_p(a.ctypes.data) for a in arrays]
+        self._args = [
+            ctypes.c_void_p(a.ctypes.data) for a in arrays + umon
+        ] + [ctypes.c_void_p(None)] * (4 - len(umon)) + [
+            ctypes.c_int64(llc.num_sets)
+        ]
 
     @property
     def issued(self):
@@ -1574,6 +1658,8 @@ class NativeEpochReplay:
                 self._l2_plru[core * s2:(core + 1) * s2].tolist()
             )
             _store_l1_perm_state(l1, final_state, l1_perms)
+        if self._prof is not None:
+            _umon_store(self._prof, self._umon_loaded, *self._umon)
         return tuple(counts), tuple(self.vtimes())
 
 
@@ -1592,10 +1678,11 @@ def build_python_epoch_replay(hierarchy, cores, thinks, lines, sets,
 def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
                               lengths, repeats):
     """Epoch driver over the compiled ``multiwalk.c`` kernel, or ``None``
-    whenever :func:`build_python_epoch_replay` would decline, a profiler
-    is attached, the kernel is unavailable (no compiler,
-    ``REPRO_NATIVE=0``), or the geometry deviates from the uniform flat
-    layout the C code assumes."""
+    whenever :func:`build_python_epoch_replay` would decline, the kernel
+    is unavailable (no compiler, ``REPRO_NATIVE=0``), the geometry
+    deviates from the uniform flat layout the C code assumes, or an
+    attached ``llc_profiler`` does not index like the LLC. A matching
+    profiler is fed by the kernel and observes every LLC probe."""
     if len(cores) > 16 or not _epoch_replay_supported(hierarchy, cores):
         return None
     if not _native_layout_supported(hierarchy):
@@ -1777,7 +1864,10 @@ class NativeBatchReplay:
 
 
 def _batch_cells_supported(hierarchy, cells):
-    """Shared preconditions of the batched builders (one bank layout)."""
+    """Shared preconditions of the batched builders (one bank layout;
+    the batched kernels feed no profiler)."""
+    if hierarchy.llc_profiler is not None:
+        return False
     for cell in cells:
         cores = cell["cores"]
         if not cores or len(cores) > 16:

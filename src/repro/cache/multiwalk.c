@@ -23,6 +23,16 @@
  * permutation-FSM states and L2 PLRU words live in all-core flattened
  * arrays so any subset of cores can participate.
  *
+ * An attached LLC way profiler (profile.WayProfiler, a software UMON)
+ * is fed in the same walk: `umon_observe` runs at every LLC probe,
+ * before the lookup, exactly where the lean walk calls
+ * `prof_observe(line, core)`.  Its per-(core, LLC set) bounded LRU
+ * stacks, per-core stack-distance histograms and access counts live in
+ * four Python-owned int64 buffers; all four are NULL when no profiler
+ * is attached (the batched kernels always pass NULL).  The Python
+ * builder only hands them over when the profiler's set index is the
+ * LLC's, so the pack's set column indexes the stacks directly.
+ *
  * Conventions shared with kernel.KernelCacheLevel:
  *   - tags[set * ways + way] holds the line number, -1 when invalid;
  *   - valid/dirty are per-set bitmasks (lean replay: dirty stays 0);
@@ -33,6 +43,7 @@
  *     with the per-node left/right subtree masks.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -68,6 +79,11 @@ typedef struct {
     i64 l1_mod, l2_mod, num_cores;
     i64 *all_l1_tags, *all_l1_valid, *all_l2_tags, *all_l2_valid;
     i64 *l1_bi, *l2_bi;
+    /* UMON buffers (NULL when no profiler is attached):
+     * stack[(core * sets + set) * W + d], depth[core * sets + set],
+     * hist[core * (W + 1) + d], acc[core] */
+    i64 *umon_stack, *umon_depth, *umon_hist, *umon_acc;
+    i64 umon_sets;
 } Shared;
 
 typedef struct {
@@ -111,6 +127,34 @@ inval_core(const Shared *S, i64 c, i64 tag)
         S->l2_bi[c]++;
 }
 
+/* WayProfiler.observe: the line's LRU stack distance within this
+ * core's stack for the set goes to hist[d] (hist[W] when it is deeper
+ * than every allocation or cold), then the line moves to the top; the
+ * stack keeps at most W lines, the deepest one falls off. */
+static inline void
+umon_observe(const Shared *S, i64 core, i64 line, i64 s3)
+{
+    i64 W = S->W;
+    i64 slot = core * S->umon_sets + s3;
+    i64 *stk = S->umon_stack + slot * W;
+    i64 depth = S->umon_depth[slot];
+    i64 d = 0;
+    while (d < depth && stk[d] != line)
+        d++;
+    if (d < depth) {
+        S->umon_hist[core * (W + 1) + d]++;
+    } else {
+        S->umon_hist[core * (W + 1) + W]++;
+        if (depth < W)
+            S->umon_depth[slot] = ++depth;
+        d = depth - 1;
+    }
+    for (; d > 0; d--)
+        stk[d] = stk[d - 1];
+    stk[0] = line;
+    S->umon_acc[core]++;
+}
+
 /* One access for one core; returns the latency (incl. think cycles). */
 static inline i64
 access_one(const Shared *S, Core *C, i64 line, i64 s3)
@@ -143,6 +187,8 @@ access_one(const Shared *S, Core *C, i64 line, i64 s3)
     }
     if (!hit2) {
         /* LLC probe */
+        if (S->umon_hist)
+            umon_observe(S, C->core, line, s3);
         i64 W = S->W;
         i64 base3 = s3 * W;
         i64 *t3 = S->tags + base3;
@@ -255,7 +301,9 @@ repro_multi_walk(
     i64 *all_l1_tags, i64 *all_l1_valid, i64 *all_l1_state,
     i64 *all_l2_tags, i64 *all_l2_valid, i64 *all_l2_plru,
     i64 *bi,
-    i64 *sched)
+    i64 *sched,
+    i64 *umon_stack, i64 *umon_depth, i64 *umon_hist, i64 *umon_acc,
+    i64 umon_sets)
 {
     i64 N = cfg[CFG_N];
     i64 num_cores = cfg[CFG_NUM_CORES];
@@ -267,6 +315,7 @@ repro_multi_walk(
         cfg[CFG_L1_MOD], cfg[CFG_L2_MOD], num_cores,
         all_l1_tags, all_l1_valid, all_l2_tags, all_l2_valid,
         bi, bi + num_cores,
+        umon_stack, umon_depth, umon_hist, umon_acc, umon_sets,
     };
     i64 l1_sets = S.l1_mod + 1;
     i64 l2_sets = S.l2_mod + 1;

@@ -14,7 +14,6 @@ features are measured.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from repro.util.errors import ValidationError
 
@@ -82,6 +81,9 @@ def cluster_applications(features_by_name, cut_distance=0.9, expected_len=None):
             cut_distance=cut_distance,
             representatives={1: names[0]},
         )
+
+    # Deferred: scipy.cluster is slow to import and only this call needs it.
+    from scipy.cluster.hierarchy import fcluster, linkage
 
     link = linkage(matrix, method="single", metric="euclidean")
     assignment = fcluster(link, t=cut_distance, criterion="distance")

@@ -23,6 +23,7 @@ PACK_HITS = "pack_hits"
 PACK_MISSES = "pack_misses"
 PACK_COMPILED_ACCESSES = "pack_compiled_accesses"
 PACK_REPLAYS = "pack_replays"
+PYTHON_REPLAYS = "python_replays"
 BATCH_CALLS = "batch_calls"
 BATCH_CELLS = "batch_cells"
 DYNBATCH_CALLS = "dynbatch_calls"
@@ -48,6 +49,7 @@ ENGINE_EVENTS = (
     PACK_MISSES,
     PACK_COMPILED_ACCESSES,
     PACK_REPLAYS,
+    PYTHON_REPLAYS,
     BATCH_CALLS,
     BATCH_CELLS,
     DYNBATCH_CALLS,

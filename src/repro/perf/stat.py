@@ -76,6 +76,7 @@ def format_engine_stat(counters=None):
     pack_misses = counters.get(ec.PACK_MISSES, 0.0)
     pack_compiled = counters.get(ec.PACK_COMPILED_ACCESSES, 0.0)
     pack_replays = counters.get(ec.PACK_REPLAYS, 0.0)
+    python_replays = counters.get(ec.PYTHON_REPLAYS, 0.0)
     batch_calls = counters.get(ec.BATCH_CALLS, 0.0)
     batch_cells = counters.get(ec.BATCH_CELLS, 0.0)
     dynbatch_calls = counters.get(ec.DYNBATCH_CALLS, 0.0)
@@ -127,6 +128,7 @@ def format_engine_stat(counters=None):
             f"{pack_compiled:,.0f} accesses compiled" if pack_misses else None,
         ),
         ("pack-replays", pack_replays, None),
+        ("python-replays", python_replays, None),
         (
             "batch-calls",
             batch_calls,

@@ -123,8 +123,9 @@ def _build_replay(hierarchy, workloads, cores, packs):
     """The epoch replay driver for one co-run, or ``None``.
 
     The native ``multiwalk.c`` driver when it applies, else the
-    pure-Python one; ``None`` when the lean walk cannot replay this
-    hierarchy (see :func:`repro.cache.kernel.build_python_epoch_replay`).
+    pure-Python one (counted in ``PYTHON_REPLAYS``); ``None`` when the
+    lean walk cannot replay this hierarchy (see
+    :func:`repro.cache.kernel.build_python_epoch_replay`).
     """
     from repro.cache.kernel import (
         build_native_epoch_replay,
@@ -148,6 +149,8 @@ def _build_replay(hierarchy, workloads, cores, packs):
             [p.sets_list(*columns) for p in packs],
             lengths, repeats,
         )
+        if replay is not None:
+            ec.add(ec.PYTHON_REPLAYS)
     return replay
 
 
@@ -807,6 +810,9 @@ def way_allocation_sweep(workloads, total_accesses=100_000, prefetchers_on=False
     With ``use_packs`` (the default) the co-run replays compiled trace
     packs through :meth:`TraceEngine.run_packed` — the profiler observes
     the identical LLC probe stream, the trace just isn't re-generated.
+    The profiler has the LLC's geometry, so the native ``multiwalk.c``
+    replay feeds it at every LLC probe; ``REPRO_NATIVE=0`` replays on
+    the Python epoch driver with identical stats and curves.
     ``use_packs=False`` forces the generator path (the CLI's
     ``--no-pack`` escape hatch).
     """

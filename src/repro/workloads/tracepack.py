@@ -160,11 +160,16 @@ def _compile_zipf(trace):
 @register_compiler(StencilTrace)
 def _compile_stencil(trace):
     rows, cols = trace.rows, trace.cols
-    r = np.repeat(np.arange(1, rows - 1, dtype=np.int64), cols - 2)
-    c = np.tile(np.arange(1, cols - 1, dtype=np.int64), rows - 2)
-    # The five probe points per (r, c), interleaved in generator order.
-    rr = np.stack([r, r - 1, r + 1, r, r], axis=1).ravel()
-    cc = np.stack([c, c, c, c - 1, c + 1], axis=1).ravel()
+    inner = cols - 2
+    # Only the sweep prefix the trace reaches: a full sweep of a large
+    # grid can be far longer than ``length``.
+    k = np.arange(min(trace.length, 5 * (rows - 2) * inner), dtype=np.int64)
+    point, probe = np.divmod(k, 5)
+    # The five probe points per (r, c), in generator order.
+    dr = np.array([0, -1, 1, 0, 0], dtype=np.int64)[probe]
+    dc = np.array([0, 0, 0, -1, 1], dtype=np.int64)[probe]
+    rr = 1 + point // inner + dr
+    cc = 1 + point % inner + dc
     sweep = trace.start + (rr * cols + cc) * trace.elem_bytes
     address = np.resize(sweep, trace.length)  # cyclic repeat, truncated
     return address, np.full(trace.length, 0x700, dtype=np.int64), None

@@ -141,6 +141,22 @@ class TestTraceDomains:
         data = ex.trace_way_utility(fg_factory=fg, domains=3)
         assert set(data["curves"]) == {"fg", "bg", "bg2"}
 
+    @pytest.mark.parametrize("footprint_mb", [0.001, 0.5, 4.0, 6.3])
+    def test_stencil_factory_maps_footprint_to_grid(self, footprint_mb):
+        """``footprint_mb`` sizes the stencil grid (within one row), it
+        is not passed through as the row count."""
+        from repro.util.units import MB
+
+        trace = ex.trace_kind_factory("stencil", 500,
+                                      footprint_mb=footprint_mb, tid=2)()
+        row_bytes = trace.cols * trace.elem_bytes
+        grid_bytes = trace.rows * row_bytes
+        if footprint_mb * MB >= 3 * row_bytes:
+            assert abs(grid_bytes - footprint_mb * MB) < row_bytes
+        else:
+            assert trace.rows == 3  # the smallest legal grid
+        assert next(iter(trace)).tid == 2
+
     def test_verify_trace_domains_checks_every_factory(self):
         from functools import partial
 

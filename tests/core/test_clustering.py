@@ -218,3 +218,26 @@ class TestDendrogram:
         features = {"a": [0.0], "b": [0.01], "c": [0.02], "d": [1.0]}
         result = cluster_applications(features, cut_distance=0.5)
         assert "[2 apps]" in render_dendrogram(result)
+
+
+def test_cli_import_leaves_scipy_cluster_unloaded():
+    """``scipy.cluster`` is imported lazily by the clustering call, so
+    importing the CLI (every command's start-up) does not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro.cli; "
+        "print('scipy.cluster' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,7 @@
 driver are the heap scheduler of ``TraceEngine.run``, for any co-run
 shape — 1 to 4 domains, random per-domain lengths, think times, and
 repeat flags, including the all-retired early-exit and constant-tie
-cases."""
+cases — with or without an LLC way profiler attached."""
 
 import os
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.llc import WayMask
+from repro.perf import engine_counters as ec
 from repro.sim.trace_engine import TraceEngine, TraceWorkload
 from repro.workloads.trace import (
     PointerChaseTrace,
@@ -64,7 +65,7 @@ def _make_workloads(lengths, thinks, repeats):
     ]
 
 
-def _run(workloads, packs, total, packed=True):
+def _run(workloads, packs, total, packed=True, profiled=False):
     ways_split = {
         1: (12,), 2: (9, 3), 3: (6, 3, 3), 4: (6, 2, 2, 2),
     }[len(workloads)]
@@ -75,6 +76,16 @@ def _run(workloads, packs, total, packed=True):
         core = engine.hierarchy.core_of_tid(_TIDS[i])
         engine.hierarchy.set_way_mask(core, WayMask.contiguous(ways, start))
         start += ways
+    profiler = None
+    if profiled:
+        from repro.cache.profile import WayProfiler
+
+        llc = engine.hierarchy.llc.storage
+        profiler = WayProfiler(
+            llc.num_sets, llc.num_ways, "hash",
+            num_domains=engine.hierarchy.num_cores,
+        )
+        engine.hierarchy.llc_profiler = profiler
     if packed:
         stats = engine.run_packed(workloads, total_accesses=total,
                                   packs=packs)
@@ -87,6 +98,7 @@ def _run(workloads, packs, total, packed=True):
         [sorted(level.stats.snapshot().items()) for level in levels],
         hierarchy.llc.storage.occupancy_by_way(),
         sorted(hierarchy.llc.storage.resident_lines()),
+        None if profiler is None else (profiler.curves(), profiler._stacks),
     )
 
 
@@ -100,6 +112,21 @@ class TestMultiwalkProperty:
         data=st.data(),
     )
     def test_native_matches_heap_for_any_co_run(self, domains, data):
+        self._check(domains, data, profiled=False)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        domains=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_profiled_native_matches_python_for_any_co_run(self, domains,
+                                                           data):
+        """The kernel's UMON (fed at every LLC probe) builds the same
+        curves and stacks as the profiler the Python driver calls."""
+        self._check(domains, data, profiled=True)
+
+    @staticmethod
+    def _check(domains, data, profiled):
         lengths = data.draw(
             st.lists(
                 st.integers(min_value=40, max_value=400),
@@ -125,8 +152,13 @@ class TestMultiwalkProperty:
                       pack_key(w.trace_factory()))
             for w in workloads
         ]
-        native_sig = _run(workloads, packs, total)
-        python_sig = _without_native(lambda: _run(workloads, packs, total))
-        heap_sig = _run(workloads, packs, total, packed=False)
+        base = ec.engine_counters().snapshot()
+        native_sig = _run(workloads, packs, total, profiled=profiled)
+        assert ec.engine_counters().delta(base)[ec.PYTHON_REPLAYS] == 0
+        python_sig = _without_native(
+            lambda: _run(workloads, packs, total, profiled=profiled)
+        )
+        heap_sig = _run(workloads, packs, total, packed=False,
+                        profiled=profiled)
         assert native_sig == heap_sig
         assert python_sig == heap_sig

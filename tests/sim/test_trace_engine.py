@@ -289,12 +289,16 @@ class TestRunPacked:
                              ids=["native", "python"])
     @pytest.mark.parametrize("domains", [1, 2, 3, 4])
     def test_profiled_sweep_packs_match_generator(self, domains, native_on):
-        """A profiled co-run replays its packs on the Python epoch
-        driver (the native kernel declines an attached profiler) and
-        must equal the generator path in stats and every curve."""
+        """A profiled co-run replays its packs on the native kernel, which
+        feeds the attached profiler itself (``REPRO_NATIVE=0`` puts every
+        pass on the Python epoch driver), and must equal the generator
+        path in stats and every curve."""
+        from repro.cache import native
         from repro.perf import engine_counters as ec
         from repro.sim.trace_engine import way_allocation_sweep
 
+        if native_on and _with_native(True, native.multi_walk_fn) is None:
+            pytest.skip("no C compiler for the native kernel")
         workloads = self._group_workloads(domains)
 
         def sweep(use_packs):
@@ -305,11 +309,91 @@ class TestRunPacked:
 
         base = ec.engine_counters().snapshot()
         packed = _with_native(native_on, lambda: sweep(True))
-        replays = ec.engine_counters().delta(base).get(ec.PACK_REPLAYS, 0)
+        delta = ec.engine_counters().delta(base)
         plain = _with_native(native_on, lambda: sweep(False))
-        assert replays == 2 * domains  # warm-up and profiled pass
+        assert delta.get(ec.PACK_REPLAYS, 0) == 2 * domains  # warm-up + pass
+        # Native: no pass falls back; Python: both passes are counted.
+        assert delta.get(ec.PYTHON_REPLAYS, 0) == (0 if native_on else 2)
         assert packed[0] == plain[0]
         assert packed[1] == plain[1]
+
+    @staticmethod
+    def _llc_profiler(engine, **overrides):
+        from repro.cache.indexing import HashedIndex
+        from repro.cache.profile import WayProfiler
+
+        llc = engine.hierarchy.llc.storage
+        geometry = dict(
+            num_sets=llc.num_sets,
+            num_ways=llc.num_ways,
+            indexing="hash" if isinstance(llc._indexer, HashedIndex)
+            else "mod",
+            num_domains=engine.hierarchy.num_cores,
+        )
+        geometry.update(overrides)
+        return WayProfiler(**geometry)
+
+    def test_profiler_state_carries_across_packed_calls(self):
+        """One profiler observes two run_packed calls with a mask change
+        in between: its stacks carry over from the first call into the
+        second, and every curve, window and stack equals the Python
+        driver's (``REPRO_NATIVE=0``)."""
+        from repro.cache import native
+        from repro.perf import engine_counters as ec
+
+        if _with_native(True, native.multi_walk_fn) is None:
+            pytest.skip("no C compiler for the native kernel")
+        workloads = self._group_workloads(3)
+
+        def two_calls():
+            engine = self._engine()
+            profiler = self._llc_profiler(engine)
+            engine.hierarchy.llc_profiler = profiler
+            first = engine.run_packed(workloads, total_accesses=7_000)
+            window = profiler.snapshot()
+            engine.hierarchy.set_way_mask(0, WayMask.contiguous(4, 0))
+            engine.hierarchy.set_way_mask(2, WayMask.contiguous(8, 4))
+            second = engine.run_packed(workloads, total_accesses=5_000)
+            return (
+                first,
+                self._signature(engine, second),
+                profiler.curves(),
+                {d: profiler.delta_curve(window, d) for d in range(4)},
+                profiler._stacks,
+            )
+
+        base = ec.engine_counters().snapshot()
+        native_run = _with_native(True, two_calls)
+        assert ec.engine_counters().delta(base).get(ec.PYTHON_REPLAYS) == 0
+        python_run = _with_native(False, two_calls)
+        assert ec.engine_counters().delta(base).get(ec.PYTHON_REPLAYS) == 2
+        assert native_run == python_run
+        assert native_run[2][0].accesses > native_run[3][0].accesses > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"num_sets": 4096}, {"indexing": "mod"}],
+        ids=["other-num-sets", "mod-on-hashed-llc"],
+    )
+    def test_mismatched_profiler_served_by_python_driver(self, overrides):
+        """A profiler that does not index like the LLC is declined by the
+        native kernel, replays on PythonEpochReplay, and still equals
+        run() in stats and curves."""
+        from repro.perf import engine_counters as ec
+
+        workloads = self._group_workloads(2)
+
+        def profiled(method):
+            engine = self._engine()
+            profiler = self._llc_profiler(engine, **overrides)
+            engine.hierarchy.llc_profiler = profiler
+            stats = getattr(engine, method)(workloads, total_accesses=8_000)
+            return self._signature(engine, stats), profiler.curves()
+
+        base = ec.engine_counters().snapshot()
+        packed = profiled("run_packed")
+        assert ec.engine_counters().delta(base).get(ec.PYTHON_REPLAYS) == 1
+        assert packed == profiled("run")
 
     def test_write_bearing_packs_match_run(self):
         """A pack that carries writes is served by run() itself."""

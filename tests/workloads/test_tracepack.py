@@ -91,6 +91,26 @@ class TestCompilation:
         with pytest.raises(ValidationError, match="too long"):
             verify_pack(pack, _zipf(length=399))
 
+    @pytest.mark.parametrize(
+        "length, rows, cols",
+        [
+            (1_000, 64, 96),  # sweep (29,140 accesses) longer than length
+            (200, 5, 6),  # 60-access sweep wraps three times and more
+            (50, 1 << 22, 256),  # a sweep far too large to materialize
+        ],
+        ids=["truncated", "wraps", "huge-grid"],
+    )
+    def test_stencil_pack_equals_generator(self, length, rows, cols):
+        """The stencil compiler builds only the sweep prefix the trace
+        reaches, and equals the generator whether the sweep is cut or
+        repeated."""
+        trace = StencilTrace(length, rows=rows, cols=cols)
+        pack = TracePack(compile_columns(trace), pack_key(trace))
+        assert len(pack) == length
+        assert verify_pack(
+            pack, StencilTrace(length, rows=rows, cols=cols)
+        ) == length
+
     def test_writes_list_none_for_read_only_trace(self):
         pack = TracePack(compile_columns(_zipf()), "k")
         assert pack.writes_list() is None
