@@ -63,10 +63,26 @@ class CacheHierarchy:
         # Optional way-profiler observing every LLC probe (line, domain).
         self.llc_profiler = None
         self._scratch = AccessResult()  # reused by the fast access path
-        # Kernel backend: one fused L1->L2->LLC walk closure per core
-        # (probe+fill+stats in a single call, bit-identical to access()).
-        fused = [build_fused_walk(self, c) for c in range(num_cores)]
-        self._fused = fused if all(w is not None for w in fused) else None
+        self._fused_walks = None  # built on first use; False: no walks
+
+    @property
+    def _fused(self):
+        """Kernel backend: one fused L1->L2->LLC walk closure per core
+        (probe+fill+stats in a single call, bit-identical to access()),
+        or ``None`` when the backend has none. Built on first use: the
+        closures capture the levels' list state, so building them
+        converts flat levels to lists."""
+        fused = self._fused_walks
+        if fused is None:
+            walks = [build_fused_walk(self, c) for c in range(self.num_cores)]
+            fused = walks if all(w is not None for w in walks) else False
+            self._fused_walks = fused
+        return fused or None
+
+    def drop_fused_walks(self):
+        """Forget the fused walks; called when a native replay converts
+        a level back to its flat form, which leaves them stale."""
+        self._fused_walks = None
 
     # -- topology -----------------------------------------------------------
 
@@ -145,7 +161,7 @@ class CacheHierarchy:
         observe calls it skips are no-ops when prefetchers are off).
         Returns ``(hit_level, latency)``.
         """
-        fused = self._fused
+        fused = self._fused_walks or self._fused
         if fused is not None:
             return fused[core](line, is_write)
         if self.l1[core].access(line, is_write, domain=core):

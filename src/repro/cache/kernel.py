@@ -3,20 +3,32 @@
 :class:`KernelCacheLevel` is a drop-in replacement for
 :class:`repro.cache.cache.CacheLevel` that keeps tag, state, and recency
 information in flat contiguous buffers instead of nested ``CacheLine``
-objects:
+objects. A level holds its state in exactly one of two forms:
 
-- presence is one per-set ``tag -> way`` dict probe instead of a linear
-  way scan;
-- valid/dirty/prefetched flags are per-set bitmasks, sharers and tags
-  are flat integer arrays;
-- true-LRU recency is a monotonically increasing touch stamp (victim =
-  minimum stamp among allowed ways, exactly the tail of the recency
-  list);
-- tree-PLRU touches collapse to two precomputed bit masks per way
-  (the touch path through the tree is fixed per way), and the victim
-  walk tests subtree membership with range bitmasks;
-- hashed set indices are memoized (the XOR fold is the only per-access
-  loop left otherwise).
+- **flat** (where every level starts): int64 numpy arrays in the
+  layout the native kernels (``multiwalk.c``, ``batchwalk.c``,
+  ``epochbatch.c``) read and write — ``tags[set * ways + way]`` (-1 when
+  invalid), per-set valid bitmasks, one recency word per set (the PLRU
+  tree bits, or the 8-way LRU permutation-FSM state), and sharer words
+  (``None`` while all zero). Dirty, prefetched and touched-prefetch bits
+  are all zero in this form. A native replay works on these buffers in
+  place, so a fresh hierarchy, replayed once and discarded, never
+  builds a Python list.
+- **lists**: the Python-walk layout. Presence is one per-set
+  ``tag -> way`` dict probe; valid/dirty/prefetched flags are per-set
+  bitmasks; true-LRU recency is a monotonically increasing touch stamp
+  (victim = minimum stamp among allowed ways, exactly the tail of the
+  recency list); tree-PLRU touches collapse to two precomputed bit
+  masks per way and the victim walk tests subtree membership with
+  range bitmasks; hashed set indices are memoized.
+
+In flat form the list attributes do not exist: the first read of one
+(any probe, fill, or Python walk build) converts the level to lists
+(counted as ``level-materializations`` in ``--engine-stat``), so no
+reader ever sees stale state. A native replay converts list-form levels
+back to flat (:meth:`KernelCacheLevel.flat_state`) when their dirty,
+prefetch and touched-prefetch bits are all zero. LRU levels of other
+than 8 ways have no FSM encoding and stay in list form.
 
 The kernel is bit-identical to the object model — same hits, same victim
 choices, same evictions and stats — for LRU and PLRU, modulo and hashed
@@ -27,11 +39,38 @@ holds the two backends to exact agreement step by step.
 from repro.cache.block import CacheLine
 from repro.cache.cache import CacheLevel, _INDEXING
 from repro.cache.stats import CacheStats
+from repro.perf import engine_counters as ec
 from repro.util.errors import ConfigurationError, ValidationError
 
 BACKENDS = ("object", "kernel")
 
 _INDEX_MEMO_CAP = 1 << 20  # bound the hashed-index memo on huge footprints
+
+# The list-form state attributes; absent from a flat-form level's
+# __dict__, so reading one reaches __getattr__ and materializes them.
+_LIST_STATE = frozenset((
+    "_tags", "_sharers", "_valid", "_dirty", "_prefetched", "_touched_pf",
+    "_lookup", "_stamp", "_plru",
+))
+
+
+class FlatLevelState:
+    """A level's state in the native kernels' flat int64 layout.
+
+    ``tags[set * ways + way]`` (-1 = invalid), ``valid[set]`` way
+    bitmask, ``rec[set]`` recency word (PLRU tree bits, or the 8-way
+    LRU FSM state index), ``sharers[set * ways + way]`` or ``None``
+    while every sharer word is zero. Dirty, prefetched and
+    touched-prefetch bits are all zero by construction.
+    """
+
+    __slots__ = ("tags", "valid", "rec", "sharers")
+
+    def __init__(self, tags, valid, rec, sharers=None):
+        self.tags = tags
+        self.valid = valid
+        self.rec = rec
+        self.sharers = sharers
 
 
 class KernelCacheLevel:
@@ -65,30 +104,18 @@ class KernelCacheLevel:
         self._full_mask = (1 << num_ways) - 1
 
         num_sets, W = self.num_sets, num_ways
-        self._tags = [-1] * (num_sets * W)
-        self._sharers = [0] * (num_sets * W)
-        self._valid = [0] * num_sets
-        self._dirty = [0] * num_sets
-        self._prefetched = [0] * num_sets
-        self._touched_pf = [0] * num_sets
-        self._lookup = [dict() for _ in range(num_sets)]
-
+        self._flat = None
         if self._is_lru:
             # Stamp ordering replicates TrueLru's initial recency list
             # [0, 1, ..., W-1] (way 0 most recent): higher stamp = more
             # recent, stamps stay unique so victim choice is unambiguous.
-            self._stamp = [0] * (num_sets * W)
-            for s in range(num_sets):
-                base = s * W
-                for w in range(W):
-                    self._stamp[base + w] = W - w
+            # FSM state 0 is the same order.
             self._clock = W + 1
         else:
             leaves = 1
             while leaves < W:
                 leaves *= 2
             self._leaves = leaves
-            self._plru = [0] * num_sets
             # The touch path through the tree is fixed per way: precompute
             # the bits it sets and clears so a touch is two bit ops.
             set_masks, clear_invs = [], []
@@ -126,6 +153,18 @@ class KernelCacheLevel:
             self._plru_left = left_masks
             self._plru_right = right_masks
 
+        if self._is_lru and W != 8:
+            self._init_lists()  # no FSM encoding: list form for life
+        else:
+            import numpy as np
+
+            i64 = np.int64
+            self._flat = FlatLevelState(
+                np.full(num_sets * W, -1, dtype=i64),
+                np.zeros(num_sets, dtype=i64),
+                np.zeros(num_sets, dtype=i64),
+            )
+
         if indexing == "mod":
             self._mod_mask = self.num_sets - 1
             self._index_memo = None
@@ -133,6 +172,107 @@ class KernelCacheLevel:
             self._mod_mask = -1
             self._index_memo = {}
         self.stats = CacheStats()
+
+    # -- state forms -------------------------------------------------------
+
+    def _init_lists(self):
+        num_sets, W = self.num_sets, self.num_ways
+        self._tags = [-1] * (num_sets * W)
+        self._sharers = [0] * (num_sets * W)
+        self._valid = [0] * num_sets
+        self._dirty = [0] * num_sets
+        self._prefetched = [0] * num_sets
+        self._touched_pf = [0] * num_sets
+        self._lookup = [dict() for _ in range(num_sets)]
+        if self._is_lru:
+            self._stamp = [W - w for _ in range(num_sets) for w in range(W)]
+        else:
+            self._plru = [0] * num_sets
+
+    def __getattr__(self, name):
+        # Reached only for attributes missing from __dict__: a flat-form
+        # level builds its list state on the first read of any of it.
+        if name in _LIST_STATE and self.__dict__.get("_flat") is not None:
+            self._materialize()
+            return getattr(self, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _materialize(self):
+        """Flat form -> list form (the flat arrays are dropped)."""
+        import numpy as np
+
+        flat = self._flat
+        num_sets, W = self.num_sets, self.num_ways
+        tags = flat.tags.tolist()
+        valid = flat.valid.tolist()
+        lookup = [dict() for _ in range(num_sets)]
+        full = self._full_mask
+        for s in np.flatnonzero(flat.valid).tolist():
+            d = lookup[s]
+            v = valid[s]
+            base = s * W
+            if v == full:
+                d.update(zip(tags[base:base + W], range(W)))
+                continue
+            while v:
+                low = v & -v
+                v ^= low
+                w = low.bit_length() - 1
+                d[tags[base + w]] = w
+        self._tags = tags
+        self._valid = valid
+        self._lookup = lookup
+        self._sharers = (
+            [0] * (num_sets * W) if flat.sharers is None
+            else flat.sharers.tolist()
+        )
+        self._dirty = [0] * num_sets
+        self._prefetched = [0] * num_sets
+        self._touched_pf = [0] * num_sets
+        if self._is_lru:
+            self._stamp = _states_to_stamps(flat.rec, self._clock).tolist()
+            self._clock += 8
+        else:
+            self._plru = flat.rec.tolist()
+        self._flat = None
+        ec.add(ec.LEVEL_MATERIALIZATIONS)
+
+    def _flattenable(self):
+        """Whether the state fits the flat form (O(1) when already flat)."""
+        if self._flat is not None:
+            return True
+        if self._is_lru and self.num_ways != 8:
+            return False
+        return not (
+            any(self._dirty) or any(self._prefetched) or any(self._touched_pf)
+        )
+
+    def flat_state(self):
+        """The level's :class:`FlatLevelState`, converting list form to
+        it first (the caller checked :meth:`_flattenable`; closures over
+        the old lists, such as fused walks, are stale afterwards)."""
+        flat = self._flat
+        if flat is None:
+            import numpy as np
+
+            i64 = np.int64
+            if self._is_lru:
+                rec = _stamps_to_states(self._stamp)
+            else:
+                rec = np.array(self._plru, dtype=i64)
+            flat = FlatLevelState(
+                np.array(self._tags, dtype=i64),
+                np.array(self._valid, dtype=i64),
+                rec,
+                np.array(self._sharers, dtype=i64)
+                if any(self._sharers) else None,
+            )
+            for name in _LIST_STATE:
+                self.__dict__.pop(name, None)
+            self._flat = flat
+        return flat
 
     # -- lookup ----------------------------------------------------------
 
@@ -387,10 +527,15 @@ class KernelCacheLevel:
 
     def occupancy(self):
         """Number of valid lines currently held."""
+        if self._flat is not None:
+            return sum(self.occupancy_by_way())
         return sum(len(lookup) for lookup in self._lookup)
 
     def occupancy_by_way(self):
         """Valid-line count per way index (used by partitioning tests)."""
+        if self._flat is not None:
+            valid = self._flat.valid
+            return [int(((valid >> w) & 1).sum()) for w in range(self.num_ways)]
         counts = [0] * self.num_ways
         for valid in self._valid:
             while valid:
@@ -401,6 +546,13 @@ class KernelCacheLevel:
 
     def resident_lines(self):
         """Set of line numbers currently cached (for inclusion checks)."""
+        flat = self._flat
+        if flat is not None:
+            import numpy as np
+
+            ways = np.arange(self.num_ways, dtype=np.int64)
+            held = ((flat.valid[:, None] >> ways) & 1).astype(bool).ravel()
+            return set(flat.tags[held].tolist())
         resident = set()
         for lookup in self._lookup:
             resident.update(lookup)
@@ -735,33 +887,110 @@ def _plru_victim_table(leaves, allowed_mask, left_masks, right_masks):
 
 
 # 8-way true-LRU as a finite state machine: per-set recency is one of
-# 8! = 40320 permutation states, touch and victim are table lookups.
-# Built lazily once per process (~0.3 s) and shared by every lean walk.
+# 8! = 40320 permutation states (most recent way first, ranked in
+# lexicographic order, so the fresh order 0..7 is state 0), and touch
+# and victim are table lookups. Built lazily once per process with
+# numpy and shared by every walk; the Python driver gets list copies.
 _LRU8_TABLES = None
+_LRU8_LISTS = None
+_FACT8 = (5040, 720, 120, 24, 6, 2, 1, 1)  # (7 - k)! per position k
+
+
+def _lru8_rank(perms):
+    """Lexicographic rank (Lehmer code) of each row of an ``(m, 8)``
+    array of permutations of ``0..7``."""
+    import numpy as np
+
+    rank = np.zeros(len(perms), dtype=np.int64)
+    for k in range(7):
+        smaller_after = (perms[:, k + 1:] < perms[:, k:k + 1]).sum(axis=1)
+        rank += smaller_after * _FACT8[k]
+    return rank
 
 
 def _lru8_tables():
+    """``(perms, pos, touch, fill)`` numpy tables of the 8-way LRU FSM.
+
+    ``perms[i]`` lists state ``i``'s ways most recent first and
+    ``pos[i, w]`` is way ``w``'s position in it (both int8);
+    ``touch[i, w]`` is the state after touching ``w`` (``w`` moves to
+    the front) and ``fill[i]`` packs evict-and-fill into one lookup:
+    the victim (the last way) in the low 3 bits, the post-touch state
+    above them. ``touch`` and ``fill`` are int32, the kernels' type.
+    """
     global _LRU8_TABLES
     if _LRU8_TABLES is None:
-        import itertools
+        import numpy as np
 
-        perms = list(itertools.permutations(range(8)))
-        index = {p: i for i, p in enumerate(perms)}
-        touch = [0] * (len(perms) * 8)
-        fill = [0] * len(perms)
-        for i, p in enumerate(perms):
-            base = i * 8
-            for w in range(8):
-                if p[0] == w:
-                    touch[base + w] = i
-                else:
-                    touch[base + w] = index[(w,) + tuple(x for x in p if x != w)]
-            # Evict-and-fill in one lookup: victim way in the low bits,
-            # the post-touch state above them.
-            victim = p[-1]
-            fill[i] = (touch[base + victim] << 3) | victim
-        _LRU8_TABLES = (touch, fill, perms, index)
+        i32 = np.int32
+        # Lexicographic permutations of 0..n-1: for each leading way f,
+        # f followed by the permutations of n-1 relabelled to skip f.
+        perms = np.zeros((1, 0), dtype=np.int8)
+        for n in range(1, 9):
+            perms = np.concatenate([
+                np.concatenate(
+                    [np.full((len(perms), 1), f, np.int8),
+                     perms + (perms >= f)],
+                    axis=1,
+                )
+                for f in range(n)
+            ])
+        count = len(perms)
+        rows = np.arange(count)
+        fact = np.array(_FACT8, dtype=i32)
+        # Lehmer digit k of rank i: how many later ways are smaller.
+        digits = (rows[:, None] // fact) % np.arange(8, 0, -1)
+        pos = np.empty_like(perms)
+        pos[rows[:, None], perms] = np.arange(8, dtype=np.int8)
+        # Touching w puts w in front (digit w, weight 7!). A way at
+        # position k < pos[w] moves one place back (weight fact[k+1])
+        # and loses w from behind it (digit - 1 when w is smaller); a
+        # way after w keeps its digit and weight.
+        shifted = np.append(fact[1:], 0)
+        before = np.zeros((count, 9), dtype=np.int64)
+        np.cumsum(digits * shifted, axis=1, out=before[:, 1:])
+        upto = np.cumsum(digits * fact, axis=1)
+        pos64 = pos.astype(np.intp)
+        touch = (
+            np.arange(8) * 5040
+            + np.take_along_axis(before, pos64, axis=1)
+            + upto[:, 7:8] - np.take_along_axis(upto, pos64, axis=1)
+        )
+        ways = np.arange(8, dtype=np.int8)
+        for k in range(7):
+            touch -= ((ways < perms[:, k:k + 1]) & (pos > k)) * shifted[k]
+        victim = perms[:, 7].astype(np.int64)
+        fill = (touch[rows, victim] << 3) | victim
+        _LRU8_TABLES = (perms, pos, touch.astype(i32), fill.astype(i32))
     return _LRU8_TABLES
+
+
+def _lru8_lists():
+    """``(touch, fill)`` as flat Python lists for the lean Python walk
+    (``touch[(state << 3) + way]``)."""
+    global _LRU8_LISTS
+    if _LRU8_LISTS is None:
+        _, _, touch, fill = _lru8_tables()
+        _LRU8_LISTS = (touch.ravel().tolist(), fill.tolist())
+    return _LRU8_LISTS
+
+
+def _stamps_to_states(stamps):
+    """Per-set LRU FSM states (int64 array) from a flat 8-way stamp
+    sequence (stamps are unique per set; higher = more recent)."""
+    import numpy as np
+
+    seg = np.asarray(stamps, dtype=np.int64).reshape(-1, 8)
+    return _lru8_rank(np.argsort(-seg, axis=1))
+
+
+def _states_to_stamps(states, clock):
+    """Flat int64 stamp array encoding FSM ``states``: rank ``r`` in a
+    set gets stamp ``clock + 7 - r`` (the caller advances its clock by 8)."""
+    import numpy as np
+
+    _, pos, _, _ = _lru8_tables()
+    return (clock + 7 - pos[states].astype(np.int64)).ravel()
 
 
 def _plru_touch_table(num_ways, set_masks, clear_invs, leaves):
@@ -781,7 +1010,9 @@ def _lean_walk_supported(hierarchy, core):
     inner levels), 8-way inner levels for the LRU permutation FSM and the
     PLRU tables, and all-zero dirty, prefetch, and inner-sharer state.
     That state stays all-zero under a read-only replay (nothing in the
-    walk can set those bits), so the walk omits those updates.
+    walk can set those bits), so the walk omits those updates. A flat
+    level holds no dirty or prefetch bits and records all-zero sharers
+    as ``None``, so the answer is O(1) and reads no list state.
     """
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
@@ -796,10 +1027,16 @@ def _lean_walk_supported(hierarchy, core):
     if l1.num_ways != 8 or l2.num_ways != 8:
         return False
     for lvl in levels:
-        if any(lvl._dirty) or any(lvl._prefetched) or any(lvl._touched_pf):
+        if lvl._flat is None and (
+            any(lvl._dirty) or any(lvl._prefetched) or any(lvl._touched_pf)
+        ):
             return False
-    if any(l1._sharers) or any(l2._sharers):
-        return False
+    for lvl in (l1, l2):
+        if lvl._flat is None:
+            if any(lvl._sharers):
+                return False
+        elif lvl._flat.sharers is not None:
+            return False
     return True
 
 
@@ -900,8 +1137,8 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     l1_lookup, l1_tags = l1._lookup, l1._tags
     l1_valid = l1._valid
     l1_stats = l1.stats
-    l1_touch, l1_fill_of, l1_perms, l1_perm_index = _lru8_tables()
-    l1_state = _l1_perm_state(l1, l1_perm_index)
+    l1_touch, l1_fill_of = _lru8_lists()
+    l1_state = _stamps_to_states(l1._stamp).tolist()
 
     l2_mod = l2._mod_mask
     l2_full = l2._full_mask
@@ -1073,7 +1310,10 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
         _flush_level_deltas(l2_stats, h2, m2, ev2, 0, core)
         _flush_level_deltas(llc_stats, h3, m3, ev3, 0, core)
         h1 = h2 = h3 = m3 = ev1 = ev2 = ev3 = 0
-        _store_l1_perm_state(l1, l1_state, l1_perms)
+        # Rewrite the stamps from the FSM states, so object-path code
+        # (and the next walk build) sees the recency order it tracked.
+        l1._stamp[:] = _states_to_stamps(l1_state, l1._clock).tolist()
+        l1._clock += 8
 
     def report():
         return h1, h2, h3, m3
@@ -1084,19 +1324,6 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
 # numpy mirrors of the recency tables for the native kernel, built once
 # per process (keyed like their list-of-int counterparts).
 _NP_TABLES = {}
-
-
-def _np_lru8_tables():
-    tables = _NP_TABLES.get("lru8")
-    if tables is None:
-        import numpy as np
-
-        touch, fill, _, _ = _lru8_tables()
-        tables = _NP_TABLES["lru8"] = (
-            np.asarray(touch, dtype=np.int32),
-            np.asarray(fill, dtype=np.int32),
-        )
-    return tables
 
 
 def _np_plru8_tables(lvl):
@@ -1126,32 +1353,6 @@ def _np_llc_geometry(llc):
             np.asarray(llc._plru_right, dtype=np.int64),
         )
     return tables
-
-
-def _l1_perm_state(l1, l1_perm_index):
-    """Per-set 8-way LRU permutation-FSM state from the stamp array
-    (stamps are unique per set; descending stamp = most recent first)."""
-    l1_stamp = l1._stamp
-    state = [0] * l1.num_sets
-    for s in range(l1.num_sets):
-        seg = l1_stamp[s << 3:(s << 3) + 8]
-        order = sorted(range(8), key=seg.__getitem__, reverse=True)
-        state[s] = l1_perm_index[tuple(order)]
-    return state
-
-
-def _store_l1_perm_state(l1, state, l1_perms):
-    """Rewrite the stamp array from FSM states, so object-path code (and
-    the next walk build) sees the per-set recency order the FSM tracked."""
-    l1_stamp = l1._stamp
-    clock = l1._clock
-    top = clock + 7
-    for s in range(len(state)):
-        perm = l1_perms[state[s]]
-        base = s << 3
-        for rank in range(8):
-            l1_stamp[base + perm[rank]] = top - rank
-    l1._clock = clock + 8
 
 
 def _umon_load(profiler):
@@ -1204,26 +1405,6 @@ def _umon_store(profiler, loaded, stack, depth, hist, accesses):
     profiler._accesses[:] = accesses.tolist()
 
 
-def _rebuild_lookup(lookup, tags, valid, num_ways):
-    """Regenerate per-set tag->way dicts from flat tag/valid state."""
-    full = (1 << num_ways) - 1
-    ways = tuple(range(num_ways))
-    pos = 0
-    for s in range(len(valid)):
-        d = lookup[s]
-        d.clear()
-        v = valid[s]
-        if v == full:
-            d.update(zip(tags[pos:pos + num_ways], ways))
-        else:
-            while v:
-                low = v & -v
-                v ^= low
-                w = low.bit_length() - 1
-                d[tags[pos + w]] = w
-        pos += num_ways
-
-
 # ---------------------------------------------------------------------------
 # Epoch-resumable N-domain replay (multiwalk.c + pure-Python reference)
 # ---------------------------------------------------------------------------
@@ -1271,8 +1452,10 @@ def _native_layout_supported(hierarchy):
     (:func:`_profiler_matches_llc`; ``multiwalk.c`` feeds it at every
     LLC probe, the batched builders decline any profiler before this
     check), the LLC mask must fit one int64 word, and every core's
-    inner levels must be 8-way modulo-indexed kernel levels of one
-    geometry, the uniform flat layout the C code assumes.
+    inner levels must be 8-way modulo-indexed kernel levels (LRU L1,
+    PLRU L2) of one geometry, the uniform flat layout the C code
+    assumes. Every level must also fit the flat form the kernels run
+    on (no dirty or prefetch bits; O(1) for a level already flat).
     """
     h = hierarchy
     if h.llc.storage.num_ways > 62:
@@ -1288,9 +1471,39 @@ def _native_layout_supported(hierarchy):
             return False
         if l1.num_ways != 8 or l2.num_ways != 8:
             return False
+        if not l1._is_lru or l2._is_lru:
+            return False
         if l1._mod_mask != l1_mod or l2._mod_mask != l2_mod:
             return False
-    return True
+    return all(lvl._flattenable() for lvl in _levels(h))
+
+
+def _levels(hierarchy):
+    """Every cache level of a hierarchy: the LLC, then L1s, then L2s."""
+    return [hierarchy.llc.storage, *hierarchy.l1, *hierarchy.l2]
+
+
+def _flat_levels(hierarchy):
+    """Every level's :class:`FlatLevelState` (LLC, L1s, L2s), converting
+    list-form levels first; the hierarchy's fused walks, whose closures
+    hold the old lists, are dropped whenever one converts."""
+    levels = _levels(hierarchy)
+    if any(lvl._flat is None for lvl in levels):
+        hierarchy.drop_fused_walks()
+    return [lvl.flat_state() for lvl in levels]
+
+
+def _gather_flat(flats, field):
+    """Concatenate one field of per-core flat states into the kernels'
+    all-core buffer, and rebind each level's field to its slice: the
+    kernel then updates the levels' own state in place."""
+    import numpy as np
+
+    bank = np.concatenate([getattr(f, field) for f in flats])
+    n = len(bank) // len(flats)
+    for i, f in enumerate(flats):
+        setattr(f, field, bank[i * n:(i + 1) * n])
+    return bank
 
 
 def _plain_column(col):
@@ -1431,17 +1644,20 @@ class PythonEpochReplay:
 class NativeEpochReplay:
     """Epoch driver over the compiled ``multiwalk.c`` kernel.
 
-    Snapshots every cache level into flat int64 buffers once, then each
-    :meth:`run_epoch` is a single ``ctypes`` call that advances the
-    replay and returns with all state — tags, valid bits, sharers,
-    recency words, per-domain counters and virtual times, the issued
-    total — intact in those buffers. :meth:`refresh_masks` rewrites only
-    the per-domain mask words, so a partition change between epochs
-    costs nothing and flushes nothing. :meth:`finish` writes the final
-    state back into the :class:`KernelCacheLevel` objects, so the
-    hierarchy ends exactly as the object model would leave it. An
-    attached ``llc_profiler`` is loaded into the kernel's UMON buffers
-    here and written back by :meth:`finish` the same way.
+    Runs on the cache levels' own flat buffers (see the module
+    docstring): the LLC's arrays are handed to the kernel as they are,
+    and each state field of the per-core L1s and L2s is gathered into
+    one all-core buffer whose slices become those levels' state, so the
+    kernel updates every level in place. Each :meth:`run_epoch` is a
+    single ``ctypes`` call that advances the replay and returns with
+    all state — tags, valid bits, sharers, recency words, per-domain
+    counters and virtual times, the issued total — intact in those
+    buffers. :meth:`refresh_masks` rewrites only the per-domain mask
+    words, so a partition change between epochs costs nothing and
+    flushes nothing. :meth:`finish` deposits the level stats; the state
+    is already where it belongs and stays flat, exactly as the object
+    model would leave it. An attached ``llc_profiler`` is loaded into
+    the kernel's UMON buffers here and written back by :meth:`finish`.
     """
 
     native = True
@@ -1461,48 +1677,24 @@ class NativeEpochReplay:
         self._fn = fn
         self._llc_W = llc.num_ways
 
-        l1_touch, l1_fill = _np_lru8_tables()
+        _, _, l1_touch, l1_fill = _lru8_tables()
         l2_touch, l2_fill = _np_plru8_tables(h.l2[cores[0]])
         pset, pclr, pleft, pright = _np_llc_geometry(llc)
-        _, _, l1_perms, l1_perm_index = _lru8_tables()
-        self._l1_perms = l1_perms
 
-        g_tags = np.array(llc._tags, dtype=i64)
-        g_sharers = np.array(llc._sharers, dtype=i64)
-        g_valid = np.array(llc._valid, dtype=i64)
-        g_plru = np.array(llc._plru, dtype=i64)
-        self._g_tags, self._g_sharers = g_tags, g_sharers
-        self._g_valid, self._g_plru = g_valid, g_plru
-
-        i1_tags = np.concatenate(
-            [np.array(h.l1[c]._tags, dtype=i64) for c in range(num_cores)]
-        )
-        i1_valid = np.concatenate(
-            [np.array(h.l1[c]._valid, dtype=i64) for c in range(num_cores)]
-        )
-        i2_tags = np.concatenate(
-            [np.array(h.l2[c]._tags, dtype=i64) for c in range(num_cores)]
-        )
-        i2_valid = np.concatenate(
-            [np.array(h.l2[c]._valid, dtype=i64) for c in range(num_cores)]
-        )
-        self._i1_tags, self._i1_valid = i1_tags, i1_valid
-        self._i2_tags, self._i2_valid = i2_tags, i2_valid
-
-        # All-core recency buffers; only participating cores' segments
-        # are ever read or written by the kernel (back-invalidations
-        # touch tags/valid, never recency — same as the object model).
-        l1_sets = h.l1[cores[0]].num_sets
-        l2_sets = h.l2[cores[0]].num_sets
-        self._l1_sets, self._l2_sets = l1_sets, l2_sets
-        l1_state = np.zeros(num_cores * l1_sets, dtype=i64)
-        l2_plru = np.zeros(num_cores * l2_sets, dtype=i64)
-        for core in cores:
-            l1_state[core * l1_sets:(core + 1) * l1_sets] = (
-                _l1_perm_state(h.l1[core], l1_perm_index)
-            )
-            l2_plru[core * l2_sets:(core + 1) * l2_sets] = h.l2[core]._plru
-        self._l1_state, self._l2_plru = l1_state, l2_plru
+        flats = _flat_levels(h)
+        g = flats[0]
+        if g.sharers is None:
+            g.sharers = np.zeros(len(g.tags), dtype=i64)
+        g_tags, g_sharers, g_valid, g_plru = g.tags, g.sharers, g.valid, g.rec
+        self._g_tags, self._g_valid = g_tags, g_valid
+        l1_flats = flats[1:1 + num_cores]
+        l2_flats = flats[1 + num_cores:]
+        i1_tags = _gather_flat(l1_flats, "tags")
+        i1_valid = _gather_flat(l1_flats, "valid")
+        l1_state = _gather_flat(l1_flats, "rec")
+        i2_tags = _gather_flat(l2_flats, "tags")
+        i2_valid = _gather_flat(l2_flats, "valid")
+        l2_plru = _gather_flat(l2_flats, "rec")
 
         cfg = np.zeros(8, dtype=i64)
         cfg[0] = len(cores)
@@ -1548,9 +1740,9 @@ class NativeEpochReplay:
         self._umon = umon
         self._umon_loaded = tuple(a.copy() for a in umon[:2])
 
-        # Every buffer is owned by self (or a process-wide table memo),
-        # so its address is stable for the driver's lifetime: bind the
-        # whole ctypes argument list once.
+        # Every buffer is owned by self, the levels, or a process-wide
+        # table memo, so its address is stable for the driver's
+        # lifetime: bind the whole ctypes argument list once.
         arrays = (
             cfg, dom, line_ptrs, set_ptrs,
             g_tags, g_sharers, g_valid, g_plru,
@@ -1612,35 +1804,18 @@ class NativeEpochReplay:
         return sorted(lines)
 
     def finish(self):
-        """Write all state back into the hierarchy; call exactly once."""
+        """Deposit stat deltas; returns ``(level counts, vtimes)``.
+        Call exactly once; the levels' state is already in place."""
         h = self._h
-        llc = h.llc.storage
         num_cores = h.num_cores
-        llc._tags[:] = self._g_tags.tolist()
-        llc._sharers[:] = self._g_sharers.tolist()
-        llc._valid[:] = self._g_valid.tolist()
-        llc._plru[:] = self._g_plru.tolist()
-        _rebuild_lookup(llc._lookup, llc._tags, llc._valid, llc.num_ways)
-        s1 = self._l1_sets
-        s2 = self._l2_sets
+        bi = self._bi.tolist()
         for c in range(num_cores):
-            l1 = h.l1[c]
-            l1._tags[:] = self._i1_tags[c * s1 * 8:(c + 1) * s1 * 8].tolist()
-            l1._valid[:] = self._i1_valid[c * s1:(c + 1) * s1].tolist()
-            _rebuild_lookup(l1._lookup, l1._tags, l1._valid, 8)
-            bi = int(self._bi[c])
-            if bi:
-                l1.stats.back_invalidations += bi
-            l2 = h.l2[c]
-            l2._tags[:] = self._i2_tags[c * s2 * 8:(c + 1) * s2 * 8].tolist()
-            l2._valid[:] = self._i2_valid[c * s2:(c + 1) * s2].tolist()
-            _rebuild_lookup(l2._lookup, l2._tags, l2._valid, 8)
-            bi = int(self._bi[num_cores + c])
-            if bi:
-                l2.stats.back_invalidations += bi
+            if bi[c]:
+                h.l1[c].stats.back_invalidations += bi[c]
+            if bi[num_cores + c]:
+                h.l2[c].stats.back_invalidations += bi[num_cores + c]
         dom = self._dom
-        llc_stats = llc.stats
-        l1_perms = self._l1_perms
+        llc_stats = h.llc.storage.stats
         counts = []
         for slot, core in enumerate(self._cores):
             h1, h2, h3, m3 = self.counters(slot)
@@ -1648,16 +1823,10 @@ class NativeEpochReplay:
             e1, e2, e3 = (int(x) for x in dom[base:base + 3])
             m2 = h3 + m3
             m1 = h2 + m2
-            l1 = h.l1[core]
-            _flush_level_deltas(l1.stats, h1, m1, e1, 0, core)
+            _flush_level_deltas(h.l1[core].stats, h1, m1, e1, 0, core)
             _flush_level_deltas(h.l2[core].stats, h2, m2, e2, 0, core)
             _flush_level_deltas(llc_stats, h3, m3, e3, 0, core)
             counts.append((h1, h2, h3, m3))
-            final_state = self._l1_state[core * s1:(core + 1) * s1].tolist()
-            h.l2[core]._plru[:] = (
-                self._l2_plru[core * s2:(core + 1) * s2].tolist()
-            )
-            _store_l1_perm_state(l1, final_state, l1_perms)
         if self._prof is not None:
             _umon_store(self._prof, self._umon_loaded, *self._umon)
         return tuple(counts), tuple(self.vtimes())
@@ -1680,9 +1849,10 @@ def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
     """Epoch driver over the compiled ``multiwalk.c`` kernel, or ``None``
     whenever :func:`build_python_epoch_replay` would decline, the kernel
     is unavailable (no compiler, ``REPRO_NATIVE=0``), the geometry
-    deviates from the uniform flat layout the C code assumes, or an
-    attached ``llc_profiler`` does not index like the LLC. A matching
-    profiler is fed by the kernel and observes every LLC probe."""
+    deviates from the uniform flat layout the C code assumes, any level
+    cannot take the flat form, or an attached ``llc_profiler`` does not
+    index like the LLC. A matching profiler is fed by the kernel and
+    observes every LLC probe."""
     if len(cores) > 16 or not _epoch_replay_supported(hierarchy, cores):
         return None
     if not _native_layout_supported(hierarchy):
@@ -1704,17 +1874,17 @@ class NativeBatchReplay:
     Holds R independent replay cells — the allocations of a way sweep,
     or a roster of unrelated co-runs — as contiguous per-cell banks of
     the same flat state :class:`NativeEpochReplay` uses: the template
-    hierarchy's current state is snapshotted once and tiled R times, so
-    every cell starts from an identical copy and no cell can observe
-    another. :meth:`run` is a single ``ctypes`` call; the kernel threads
+    hierarchy's flat level buffers are tiled R times, so every cell
+    starts from an identical copy, no cell can observe another, and the
+    template itself is never written. :meth:`run` is a single ``ctypes`` call; the kernel threads
     over cells but each writes only its own dom/sched bank, so the
     per-cell ``(counters, vtimes)`` read back afterwards are
     bit-identical to running :class:`NativeEpochReplay` once per cell,
     for any thread count.
 
-    Unlike the epoch driver there is no ``finish()`` writeback: batch
-    cells are throwaway measurements, never a hierarchy the caller
-    keeps simulating.
+    Unlike the epoch driver there is no ``finish()``: batch cells are
+    throwaway measurements, never a hierarchy the caller keeps
+    simulating.
     """
 
     native = True
@@ -1736,33 +1906,38 @@ class NativeBatchReplay:
         self._n_max = n_max
 
         first_core = cells[0]["cores"][0]
-        l1_touch, l1_fill = _np_lru8_tables()
+        _, _, l1_touch, l1_fill = _lru8_tables()
         l2_touch, l2_fill = _np_plru8_tables(h.l2[first_core])
         pset, pclr, pleft, pright = _np_llc_geometry(llc)
-        _, _, _, l1_perm_index = _lru8_tables()
 
-        # One template snapshot of the hierarchy's current state, tiled
-        # R times: every cell starts from an identical copy.
-        g_tags = np.tile(np.array(llc._tags, dtype=i64), R)
-        g_sharers = np.tile(np.array(llc._sharers, dtype=i64), R)
-        g_valid = np.tile(np.array(llc._valid, dtype=i64), R)
-        g_plru = np.tile(np.array(llc._plru, dtype=i64), R)
+        # The template hierarchy's flat state, tiled R times: every cell
+        # starts from an identical copy.
+        flats = _flat_levels(h)
+        g = flats[0]
+        l1_flats = flats[1:1 + num_cores]
+        l2_flats = flats[1 + num_cores:]
 
-        def _all_core(levels, attr):
-            return np.concatenate(
-                [np.array(getattr(levels[c], attr), dtype=i64)
-                 for c in range(num_cores)]
+        def _tiled(field_flats, field):
+            return np.tile(
+                np.concatenate([getattr(f, field) for f in field_flats]), R
             )
 
-        i1_tags = np.tile(_all_core(h.l1, "_tags"), R)
-        i1_valid = np.tile(_all_core(h.l1, "_valid"), R)
-        i2_tags = np.tile(_all_core(h.l2, "_tags"), R)
-        i2_valid = np.tile(_all_core(h.l2, "_valid"), R)
+        g_tags = _tiled([g], "tags")
+        g_sharers = (
+            np.zeros(R * len(g.tags), dtype=i64) if g.sharers is None
+            else _tiled([g], "sharers")
+        )
+        g_valid = _tiled([g], "valid")
+        g_plru = _tiled([g], "rec")
+        i1_tags = _tiled(l1_flats, "tags")
+        i1_valid = _tiled(l1_flats, "valid")
+        l1_state = _tiled(l1_flats, "rec")
+        i2_tags = _tiled(l2_flats, "tags")
+        i2_valid = _tiled(l2_flats, "valid")
+        l2_plru = _tiled(l2_flats, "rec")
 
         l1_sets = h.l1[first_core].num_sets
         l2_sets = h.l2[first_core].num_sets
-        l1_state = np.zeros(R * num_cores * l1_sets, dtype=i64)
-        l2_plru = np.zeros(R * num_cores * l2_sets, dtype=i64)
         cfg = np.zeros(R * _CFG_SLOTS, dtype=i64)
         dom = np.zeros(R * n_max * _DOM_STRIDE, dtype=i64)
         self._line_cols = []
@@ -1786,13 +1961,6 @@ class NativeBatchReplay:
             cfg[cbase + 5] = num_cores
             cfg[cbase + 6] = int(cell["stop"])
             cfg[cbase + 7] = -1
-            for core in cores:
-                off = r * num_cores * l1_sets + core * l1_sets
-                l1_state[off:off + l1_sets] = (
-                    _l1_perm_state(h.l1[core], l1_perm_index)
-                )
-                off = r * num_cores * l2_sets + core * l2_sets
-                l2_plru[off:off + l2_sets] = h.l2[core]._plru
             for slot, (core, think) in enumerate(
                 zip(cores, cell["thinks"])
             ):

@@ -24,6 +24,7 @@ PACK_MISSES = "pack_misses"
 PACK_COMPILED_ACCESSES = "pack_compiled_accesses"
 PACK_REPLAYS = "pack_replays"
 PYTHON_REPLAYS = "python_replays"
+LEVEL_MATERIALIZATIONS = "level_materializations"
 BATCH_CALLS = "batch_calls"
 BATCH_CELLS = "batch_cells"
 DYNBATCH_CALLS = "dynbatch_calls"
@@ -50,6 +51,7 @@ ENGINE_EVENTS = (
     PACK_COMPILED_ACCESSES,
     PACK_REPLAYS,
     PYTHON_REPLAYS,
+    LEVEL_MATERIALIZATIONS,
     BATCH_CALLS,
     BATCH_CELLS,
     DYNBATCH_CALLS,

@@ -77,6 +77,7 @@ def format_engine_stat(counters=None):
     pack_compiled = counters.get(ec.PACK_COMPILED_ACCESSES, 0.0)
     pack_replays = counters.get(ec.PACK_REPLAYS, 0.0)
     python_replays = counters.get(ec.PYTHON_REPLAYS, 0.0)
+    materializations = counters.get(ec.LEVEL_MATERIALIZATIONS, 0.0)
     batch_calls = counters.get(ec.BATCH_CALLS, 0.0)
     batch_cells = counters.get(ec.BATCH_CELLS, 0.0)
     dynbatch_calls = counters.get(ec.DYNBATCH_CALLS, 0.0)
@@ -129,6 +130,7 @@ def format_engine_stat(counters=None):
         ),
         ("pack-replays", pack_replays, None),
         ("python-replays", python_replays, None),
+        ("level-materializations", materializations, None),
         (
             "batch-calls",
             batch_calls,

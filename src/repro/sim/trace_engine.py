@@ -128,10 +128,13 @@ def _build_replay(hierarchy, workloads, cores, packs):
     :func:`repro.cache.kernel.build_python_epoch_replay`).
     """
     from repro.cache.kernel import (
+        _epoch_replay_supported,
         build_native_epoch_replay,
         build_python_epoch_replay,
     )
 
+    if not _epoch_replay_supported(hierarchy, cores):
+        return None  # e.g. the object backend: no LLC set column
     thinks = [w.think_cycles for w in workloads]
     repeats = [w.repeat for w in workloads]
     lengths = [len(p.line) for p in packs]
@@ -420,13 +423,16 @@ class TraceEngine:
 
 def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
                       total_accesses=120_000, prefetchers_on=False,
-                      backend="object"):
+                      backend="kernel"):
     """Foreground latency/miss-ratio alone, shared, and partitioned.
 
     The address-level version of the paper's core experiment. Prefetchers
     default off: a prefetch-accelerated stream monopolizes the access
     budget and the measurement becomes a warm-up study rather than a
-    partitioning one.
+    partitioning one. Each pass is a :meth:`TraceEngine.run_packed`
+    co-run (bit-identical to :meth:`TraceEngine.run`, which it falls
+    back to on the ``"object"`` backend or with prefetchers on); the
+    measured pass replays on the state the warm-up pass left in place.
     """
     from repro.cache.llc import WayMask
 
@@ -444,8 +450,8 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
 
     def warm_then_measure(masks, workloads):
         engine = fresh_engine(masks)
-        engine.run(workloads, total_accesses)  # warm-up pass
-        return engine.run(workloads, total_accesses)  # measured pass
+        engine.run_packed(workloads, total_accesses)  # warm-up pass
+        return engine.run_packed(workloads, total_accesses)  # measured pass
 
     alone = warm_then_measure(None, [fg_workload])
     shared = warm_then_measure(None, [fg_workload, bg_workload])

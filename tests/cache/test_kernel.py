@@ -228,3 +228,89 @@ class TestHierarchyIdentity:
         level, latency = walk(123, False)
         assert level == "MEM" and latency == 200
         assert walk(123, False) == ("L1", 4)
+
+
+def _lru8_brute_force():
+    """The 8-way LRU FSM by its definition: states are the permutations
+    of 0..7 (most recent first) in lexicographic order, a touch moves
+    the way to the front, a fill evicts the last way and touches it."""
+    import itertools
+
+    perms = list(itertools.permutations(range(8)))
+    index = {p: i for i, p in enumerate(perms)}
+    touch = [0] * (len(perms) * 8)
+    fill = [0] * len(perms)
+    for i, p in enumerate(perms):
+        base = i * 8
+        for w in range(8):
+            if p[0] == w:
+                touch[base + w] = i
+            else:
+                touch[base + w] = index[(w,) + tuple(x for x in p if x != w)]
+        victim = p[-1]
+        fill[i] = (touch[base + victim] << 3) | victim
+    return perms, touch, fill
+
+
+class TestLru8Tables:
+    def test_numpy_tables_match_brute_force_definition(self):
+        from repro.cache.kernel import _lru8_lists, _lru8_rank, _lru8_tables
+
+        perms, touch, fill = _lru8_brute_force()
+        np_perms, pos, np_touch, np_fill = _lru8_tables()
+        assert [tuple(row) for row in np_perms.tolist()] == perms
+        assert np_touch.ravel().tolist() == touch
+        assert np_fill.tolist() == fill
+        assert _lru8_lists() == (touch, fill)
+        assert _lru8_rank(np_perms).tolist() == list(range(len(perms)))
+        for i in (0, 1, 777, 40319):
+            assert [perms[i].index(w) for w in range(8)] == pos[i].tolist()
+
+    def test_stamp_round_trip_keeps_recency_order(self):
+        from repro.cache.kernel import _states_to_stamps, _stamps_to_states
+
+        states = [0, 5, 40319, 12345]
+        stamps = _states_to_stamps(states, clock=100)
+        assert _stamps_to_states(stamps).tolist() == states
+
+
+class TestLevelForms:
+    """A kernel level starts flat and builds lists on first read."""
+
+    def test_fresh_level_is_flat_until_read(self):
+        from repro.perf import engine_counters as ec
+
+        ref, ker = level_pair("plru", "hash", num_ways=12)
+        assert ker._flat is not None and "_lookup" not in vars(ker)
+        # Introspection reads the flat form without converting it.
+        assert state_of(ker) == state_of(ref)
+        assert ker._flat is not None
+        base = ec.engine_counters().snapshot()
+        assert not ker.contains(5)  # a probe builds the lists
+        assert ker._flat is None and "_lookup" in vars(ker)
+        assert ec.engine_counters().delta(base)[ec.LEVEL_MATERIALIZATIONS] == 1
+
+    def test_non_8_way_lru_stays_in_list_form(self):
+        _, ker = level_pair("lru", "mod", num_ways=4)
+        assert ker._flat is None and not ker._flattenable()
+
+    @pytest.mark.parametrize("replacement", ["lru", "plru"])
+    def test_form_round_trips_are_invisible(self, replacement):
+        ref, ker = level_pair(replacement, "mod")
+        rng = DeterministicRng(seed=9)
+        for step in range(600):
+            line = rng.integers(0, 400)
+            for lvl in (ref, ker):
+                if not lvl.access(line, domain=0):
+                    lvl.fill(line, domain=0, sharer=1)
+            if step % 97 == 0:
+                ker.flat_state()  # lists -> flat; the next probe rebuilds
+                assert "_lookup" not in vars(ker)
+            assert state_of(ref) == state_of(ker), f"step {step}"
+        for s in range(ker.num_sets):
+            assert ref._policies[s].victim(None) == ker._victim(s, None)
+
+    def test_dirty_level_declines_the_flat_form(self):
+        _, ker = level_pair("plru", "mod")
+        ker.fill(3, is_write=True)
+        assert not ker._flattenable()

@@ -44,6 +44,7 @@ class TestKernelStatus:
             assert "REPRO_NATIVE" in reason and "'0'" in reason
 
     def test_missing_compiler_reason(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setattr(native, "_compiler", lambda: None)
         status = native.kernel_status()
         assert status["multiwalk"] == (
@@ -51,6 +52,7 @@ class TestKernelStatus:
         )
 
     def test_compile_failure_reason_recorded_once(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         calls = []
         real = native._build_library
 

@@ -72,6 +72,27 @@ class TestExecution:
             expand_manifest(manifest)
         )
 
+    def test_native_roster_and_verify_keep_levels_flat(self, tmp_path):
+        """On native kernels a trace roster cell and its per-cell
+        re-verification replay every cache level in its flat form:
+        not one level is converted to Python lists."""
+        from repro.cache import native
+
+        if native.multi_walk_fn() is None or native.batch_walk_fn() is None:
+            pytest.skip("native kernels unavailable")
+        manifest = fast_manifest(
+            policies=["static-3"], pairs=[["zipf", "stream"]],
+            geometries=[{"accesses": ACCESSES}],
+        )
+        store = tmp_path / "store"
+        snapshot = ec.engine_counters().snapshot()
+        result = run_campaign(manifest, str(store), workers=1)
+        assert result.roster_shards == 1
+        assert verify_campaign(manifest, str(store)) == 1
+        delta = ec.engine_counters().delta(snapshot)
+        assert delta.get(ec.PACK_REPLAYS, 0) > 0
+        assert delta.get(ec.LEVEL_MATERIALIZATIONS, 0) == 0
+
     def test_verify_campaign_names_a_missing_cell(self, tmp_path):
         manifest = fast_manifest()
         store = tmp_path / "store"

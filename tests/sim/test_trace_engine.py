@@ -155,6 +155,29 @@ class TestIsolationMeasurement:
         assert out["partitioned"]["miss_ratio"] < out["shared"]["miss_ratio"] * 0.5
         assert out["partitioned"]["avg_latency"] < out["shared"]["avg_latency"] * 0.8
 
+    def test_kernel_default_matches_object_model(self):
+        """The kernel default (packed warm-then-measure on one
+        hierarchy) returns exactly the object model's dicts."""
+        fg = TraceWorkload(
+            "fg",
+            lambda: ZipfTrace(6_000, 1 * MB, alpha=0.9, tid=0, seed=7),
+            tid=0,
+            think_cycles=6,
+        )
+        bg = TraceWorkload(
+            "bg",
+            lambda: StreamingTrace(4_000, 4 * MB, tid=4),
+            tid=4,
+            think_cycles=0,
+        )
+        kwargs = dict(
+            fg_mask=WayMask.contiguous(9, 0),
+            bg_mask=WayMask.contiguous(3, 9),
+            total_accesses=15_000,
+        )
+        kernel = measure_isolation(fg, bg, **kwargs)
+        assert measure_isolation(fg, bg, backend="object", **kwargs) == kernel
+
     def test_same_core_rejected(self):
         with pytest.raises(ValidationError):
             measure_isolation(chase(0), chase(1))
