@@ -7,7 +7,7 @@ line. Hyperthreads map pairwise onto cores (tids 0,1 -> core 0, ...).
 """
 
 from repro.cache.block import AccessResult, MemoryAccess
-from repro.cache.kernel import build_fused_walk, make_cache_level
+from repro.cache.kernel import make_cache_level
 from repro.cache.llc import PartitionedLLC
 from repro.cache.prefetch import PrefetcherBank
 from repro.perf import engine_counters as ec
@@ -63,26 +63,6 @@ class CacheHierarchy:
         # Optional way-profiler observing every LLC probe (line, domain).
         self.llc_profiler = None
         self._scratch = AccessResult()  # reused by the fast access path
-        self._fused_walks = None  # built on first use; False: no walks
-
-    @property
-    def _fused(self):
-        """Kernel backend: one fused L1->L2->LLC walk closure per core
-        (probe+fill+stats in a single call, bit-identical to access()),
-        or ``None`` when the backend has none. Built on first use: the
-        closures capture the levels' list state, so building them
-        converts flat levels to lists."""
-        fused = self._fused_walks
-        if fused is None:
-            walks = [build_fused_walk(self, c) for c in range(self.num_cores)]
-            fused = walks if all(w is not None for w in walks) else False
-            self._fused_walks = fused
-        return fused or None
-
-    def drop_fused_walks(self):
-        """Forget the fused walks; called when a native replay converts
-        a level back to its flat form, which leaves them stale."""
-        self._fused_walks = None
 
     # -- topology -----------------------------------------------------------
 
@@ -161,9 +141,6 @@ class CacheHierarchy:
         observe calls it skips are no-ops when prefetchers are off).
         Returns ``(hit_level, latency)``.
         """
-        fused = self._fused_walks or self._fused
-        if fused is not None:
-            return fused[core](line, is_write)
         if self.l1[core].access(line, is_write, domain=core):
             return "L1", L1_LATENCY
         scratch = self._scratch
@@ -181,21 +158,6 @@ class CacheHierarchy:
         self._fill_l2(core, line, scratch)
         self._fill_l1(core, line, is_write, scratch)
         return level, latency
-
-    def fast_walker(self, core):
-        """The cheapest ``(line, is_write) -> (hit_level, latency)`` callable
-        for ``core`` with prefetchers off: the fused kernel walk when the
-        backend supports it, else a thin wrapper over :meth:`access_fast`.
-        """
-        fused = self._fused
-        if fused is not None:
-            return fused[core]
-        access_fast = self.access_fast
-
-        def walk(line, is_write):
-            return access_fast(line, is_write, core)
-
-        return walk
 
     def run_trace(self, accesses):
         """Walk a full trace; returns aggregate totals as a dict.

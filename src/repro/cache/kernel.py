@@ -252,7 +252,7 @@ class KernelCacheLevel:
     def flat_state(self):
         """The level's :class:`FlatLevelState`, converting list form to
         it first (the caller checked :meth:`_flattenable`; closures over
-        the old lists, such as fused walks, are stale afterwards)."""
+        the old lists are stale afterwards)."""
         flat = self._flat
         if flat is None:
             import numpy as np
@@ -559,312 +559,6 @@ class KernelCacheLevel:
         return resident
 
 
-def build_fused_walk(hierarchy, core):
-    """One prefetchers-off L1 -> L2 -> LLC access walk as a single closure.
-
-    Fuses the per-level probe, fill, recency, and stats updates of
-    :meth:`repro.cache.hierarchy.CacheHierarchy.access_fast` into one
-    function over the three levels' flat state for ``core``: no per-level
-    method dispatch, no ``CacheLine`` construction for evictions, and no
-    re-indexing between a probe and the fill that follows it. State and
-    stats transitions are bit-identical to the generic walk; the rare
-    paths (dirty L1 victim missing from L2, dirty L2 victim writeback)
-    fall back to the shared helpers.
-
-    Returns ``None`` when the hierarchy's levels are not all kernel-backed
-    or not in the expected LRU/PLRU/PLRU arrangement, in which case the
-    caller keeps the generic path.
-    """
-    l1 = hierarchy.l1[core]
-    l2 = hierarchy.l2[core]
-    llc_part = hierarchy.llc
-    llc = llc_part.storage
-    levels = (l1, l2, llc)
-    if not all(isinstance(lvl, KernelCacheLevel) for lvl in levels):
-        return None
-    if not l1._is_lru or l2._is_lru or llc._is_lru:
-        return None
-    if l1._mod_mask < 0 or l2._mod_mask < 0:
-        return None
-
-    h = hierarchy
-    num_cores = h.num_cores
-    core_bit = 1 << core
-    scratch = h._scratch
-    l1_objs = list(h.l1)
-    l2_objs = list(h.l2)
-    inner_l1_lookup = [lvl._lookup for lvl in l1_objs]
-    inner_l2_lookup = [lvl._lookup for lvl in l2_objs]
-
-    # L1: true LRU, modulo indexing.
-    l1_mod = l1._mod_mask
-    l1_W = l1.num_ways
-    l1_full = l1._full_mask
-    l1_lookup, l1_tags, l1_sharers = l1._lookup, l1._tags, l1._sharers
-    l1_valid, l1_dirty = l1._valid, l1._dirty
-    l1_pref, l1_tpf = l1._prefetched, l1._touched_pf
-    l1_stamp = l1._stamp
-    l1_stats = l1.stats
-    l1_pa = l1_stats.per_domain_accesses
-    l1_pm = l1_stats.per_domain_misses
-
-    # L2: tree PLRU, modulo indexing.
-    l2_mod = l2._mod_mask
-    l2_W = l2.num_ways
-    l2_full = l2._full_mask
-    l2_leaves = l2._leaves
-    l2_lookup, l2_tags, l2_sharers = l2._lookup, l2._tags, l2._sharers
-    l2_valid, l2_dirty = l2._valid, l2._dirty
-    l2_pref, l2_tpf = l2._prefetched, l2._touched_pf
-    l2_plru = l2._plru
-    l2_pset, l2_pclr = l2._plru_set, l2._plru_clear_inv
-    l2_left, l2_right = l2._plru_left, l2._plru_right
-    l2_stats = l2.stats
-    l2_pa = l2_stats.per_domain_accesses
-    l2_pm = l2_stats.per_domain_misses
-
-    # LLC: tree PLRU, modulo or hashed indexing, way-masked fills.
-    llc_mod = llc._mod_mask
-    llc_memo = llc._index_memo
-    llc_index = llc._indexer.index
-    llc_W = llc.num_ways
-    llc_leaves = llc._leaves
-    llc_lookup, llc_tags, llc_sharers = llc._lookup, llc._tags, llc._sharers
-    llc_valid, llc_dirty = llc._valid, llc._dirty
-    llc_pref, llc_tpf = llc._prefetched, llc._touched_pf
-    llc_plru = llc._plru
-    llc_pset, llc_pclr = llc._plru_set, llc._plru_clear_inv
-    llc_left, llc_right = llc._plru_left, llc._plru_right
-    llc_stats = llc.stats
-    llc_pa = llc_stats.per_domain_accesses
-    llc_pm = llc_stats.per_domain_misses
-    llc_mark_dirty = llc.mark_dirty
-    mask_ways = llc_part._mask_ways  # mutated in place by set_mask
-    mask_bits = llc_part._mask_bits
-
-    def walk(line, is_write):
-        # ---- L1 probe (LRU, modulo) -------------------------------------
-        s1 = line & l1_mod
-        way = l1_lookup[s1].get(line)
-        l1_stats.accesses += 1
-        l1_pa[core] = l1_pa.get(core, 0) + 1
-        if way is not None:
-            l1_stats.hits += 1
-            l1_stamp[s1 * l1_W + way] = l1._clock
-            l1._clock += 1
-            if is_write:
-                l1_dirty[s1] |= 1 << way
-            pf = l1_pref[s1]
-            if pf:
-                bit = 1 << way
-                if pf & bit and not l1_tpf[s1] & bit:
-                    l1_tpf[s1] |= bit
-                    l1_stats.prefetch_useful += 1
-            return "L1", 4
-        l1_stats.misses += 1
-        l1_pm[core] = l1_pm.get(core, 0) + 1
-
-        # ---- L2 probe (PLRU, modulo) ------------------------------------
-        s2 = line & l2_mod
-        look2 = l2_lookup[s2]
-        way = look2.get(line)
-        l2_stats.accesses += 1
-        l2_pa[core] = l2_pa.get(core, 0) + 1
-        if way is not None:
-            l2_stats.hits += 1
-            l2_plru[s2] = (l2_plru[s2] | l2_pset[way]) & l2_pclr[way]
-            if is_write:
-                l2_dirty[s2] |= 1 << way
-            pf = l2_pref[s2]
-            if pf:
-                bit = 1 << way
-                if pf & bit and not l2_tpf[s2] & bit:
-                    l2_tpf[s2] |= bit
-                    l2_stats.prefetch_useful += 1
-            level = "L2"
-            latency = 12
-        else:
-            l2_stats.misses += 1
-            l2_pm[core] = l2_pm.get(core, 0) + 1
-
-            # ---- LLC probe ----------------------------------------------
-            prof = h.llc_profiler
-            if prof is not None:
-                prof.observe(line, core)
-            if llc_mod >= 0:
-                s3 = line & llc_mod
-            else:
-                s3 = llc_memo.get(line)
-                if s3 is None:
-                    s3 = llc_index(line)
-                    if len(llc_memo) >= _INDEX_MEMO_CAP:
-                        llc_memo.clear()
-                    llc_memo[line] = s3
-            look3 = llc_lookup[s3]
-            way = look3.get(line)
-            llc_stats.accesses += 1
-            llc_pa[core] = llc_pa.get(core, 0) + 1
-            if way is not None:
-                llc_stats.hits += 1
-                llc_plru[s3] = (llc_plru[s3] | llc_pset[way]) & llc_pclr[way]
-                if is_write:
-                    llc_dirty[s3] |= 1 << way
-                pf = llc_pref[s3]
-                if pf:
-                    bit = 1 << way
-                    if pf & bit and not llc_tpf[s3] & bit:
-                        llc_tpf[s3] |= bit
-                        llc_stats.prefetch_useful += 1
-                llc_sharers[s3 * llc_W + way] |= core_bit  # add_sharer
-                level = "LLC"
-                latency = 30
-            else:
-                llc_stats.misses += 1
-                llc_pm[core] = llc_pm.get(core, 0) + 1
-
-                # ---- LLC fill (way-masked victim, inclusion) ------------
-                mbits = mask_bits[core]
-                valid3 = llc_valid[s3]
-                victim = None
-                if valid3 & mbits != mbits:
-                    for w in mask_ways[core]:
-                        if not (valid3 >> w) & 1:
-                            victim = w
-                            break
-                if victim is None:
-                    bits = llc_plru[s3]
-                    node = 1
-                    while node < llc_leaves:
-                        go_right = (bits >> node) & 1
-                        if go_right:
-                            if not mbits & llc_right[node]:
-                                go_right = 0
-                        elif not mbits & llc_left[node]:
-                            go_right = 1
-                        node = 2 * node + 1 if go_right else 2 * node
-                    victim = node - llc_leaves
-                    base = s3 * llc_W + victim
-                    vbit = 1 << victim
-                    old_tag = llc_tags[base]
-                    old_sharers = llc_sharers[base]
-                    llc_stats.evictions += 1
-                    if llc_dirty[s3] & vbit:
-                        llc_stats.writebacks += 1
-                    del look3[old_tag]
-                    # Inclusion: the victim leaves every inner cache.
-                    for c in range(num_cores):
-                        if old_sharers and not (old_sharers >> c) & 1:
-                            continue
-                        if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                            l1_objs[c].invalidate(old_tag)
-                        if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                            l2_objs[c].invalidate(old_tag)
-                else:
-                    base = s3 * llc_W + victim
-                    vbit = 1 << victim
-                llc_tags[base] = line
-                llc_valid[s3] = valid3 | vbit
-                if is_write:
-                    llc_dirty[s3] |= vbit
-                else:
-                    llc_dirty[s3] &= ~vbit
-                llc_sharers[base] = core_bit
-                llc_pref[s3] &= ~vbit
-                llc_tpf[s3] &= ~vbit
-                look3[line] = victim
-                llc_stats.fills += 1
-                llc_plru[s3] = (llc_plru[s3] | llc_pset[victim]) & llc_pclr[victim]
-                level = "MEM"
-                latency = 200
-
-            # ---- L2 fill (demand fills land clean) ----------------------
-            valid2 = l2_valid[s2]
-            if valid2 != l2_full:
-                inv = ~valid2 & l2_full
-                victim = (inv & -inv).bit_length() - 1
-                base = s2 * l2_W + victim
-                vbit = 1 << victim
-            else:
-                bits = l2_plru[s2]
-                node = 1
-                while node < l2_leaves:
-                    go_right = (bits >> node) & 1
-                    if go_right:
-                        if not l2_full & l2_right[node]:
-                            go_right = 0
-                    elif not l2_full & l2_left[node]:
-                        go_right = 1
-                    node = 2 * node + 1 if go_right else 2 * node
-                victim = node - l2_leaves
-                base = s2 * l2_W + victim
-                vbit = 1 << victim
-                old_tag = l2_tags[base]
-                l2_stats.evictions += 1
-                if l2_dirty[s2] & vbit:
-                    l2_stats.writebacks += 1
-                    # Inclusive LLC normally still holds the line.
-                    llc_mark_dirty(old_tag)
-                del look2[old_tag]
-            l2_tags[base] = line
-            l2_valid[s2] = valid2 | vbit
-            l2_dirty[s2] &= ~vbit
-            l2_sharers[base] = 0
-            l2_pref[s2] &= ~vbit
-            l2_tpf[s2] &= ~vbit
-            look2[line] = victim
-            l2_stats.fills += 1
-            l2_plru[s2] = (l2_plru[s2] | l2_pset[victim]) & l2_pclr[victim]
-
-        # ---- L1 fill ----------------------------------------------------
-        look1 = l1_lookup[s1]
-        valid1 = l1_valid[s1]
-        if valid1 != l1_full:
-            inv = ~valid1 & l1_full
-            victim = (inv & -inv).bit_length() - 1
-            base = s1 * l1_W + victim
-            vbit = 1 << victim
-        else:
-            base = s1 * l1_W
-            victim = 0
-            best = l1_stamp[base]
-            for w in range(1, l1_W):
-                stamp = l1_stamp[base + w]
-                if stamp < best:
-                    best = stamp
-                    victim = w
-            base += victim
-            vbit = 1 << victim
-            old_tag = l1_tags[base]
-            l1_stats.evictions += 1
-            if l1_dirty[s1] & vbit:
-                l1_stats.writebacks += 1
-                # Non-inclusive L2: a dirty L1 victim lands in (or
-                # updates) L2; fall back to the shared helper on a miss.
-                s2v = old_tag & l2_mod
-                way2 = l2_lookup[s2v].get(old_tag)
-                if way2 is not None:
-                    l2_dirty[s2v] |= 1 << way2
-                else:
-                    h._fill_l2(core, old_tag, scratch, dirty=True)
-            del look1[old_tag]
-        l1_tags[base] = line
-        l1_valid[s1] = valid1 | vbit
-        if is_write:
-            l1_dirty[s1] |= vbit
-        else:
-            l1_dirty[s1] &= ~vbit
-        l1_sharers[base] = 0
-        l1_pref[s1] &= ~vbit
-        l1_tpf[s1] &= ~vbit
-        look1[line] = victim
-        l1_stats.fills += 1
-        l1_stamp[base] = l1._clock
-        l1._clock += 1
-        return level, latency
-
-    return walk
-
-
 def _plru_victim_table(leaves, allowed_mask, left_masks, right_masks):
     """victim way for every PLRU bits value under one allowed-way mask.
 
@@ -1095,10 +789,12 @@ def _flush_level_deltas(stats, hits, misses, evictions, writebacks, core):
 
 
 def _build_lean_pack_walk(hierarchy, core, think_cycles):
-    """A fused read-only walk for compiled-pack replay on one core.
+    """A read-only L1 -> L2 -> LLC walk for compiled-pack replay on one
+    core, fused into one closure.
 
-    Same state transitions as :func:`build_fused_walk` (bit-identical
-    caches and stats totals) for a core that passes
+    Same state transitions as
+    :meth:`repro.cache.hierarchy.CacheHierarchy.access_fast`
+    (bit-identical caches and stats totals) for a core that passes
     :func:`_lean_walk_supported`, restructured for long replays:
 
     - the LLC set index comes precomputed from the pack's geometry
@@ -1485,12 +1181,8 @@ def _levels(hierarchy):
 
 def _flat_levels(hierarchy):
     """Every level's :class:`FlatLevelState` (LLC, L1s, L2s), converting
-    list-form levels first; the hierarchy's fused walks, whose closures
-    hold the old lists, are dropped whenever one converts."""
-    levels = _levels(hierarchy)
-    if any(lvl._flat is None for lvl in levels):
-        hierarchy.drop_fused_walks()
-    return [lvl.flat_state() for lvl in levels]
+    list-form levels first."""
+    return [lvl.flat_state() for lvl in _levels(hierarchy)]
 
 
 def _gather_flat(flats, field):

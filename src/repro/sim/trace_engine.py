@@ -177,15 +177,14 @@ class TraceEngine:
     supplied: ``"object"`` (reference model) or ``"kernel"`` (flat-array
     kernel, bit-identical and much faster). With all
     prefetchers off the run loop dispatches through the hierarchy's
-    allocation-free fast path; ``fast_loop=False`` forces the original
-    per-access protocol (results are identical either way).
+    allocation-free :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`
+    instead of the per-access protocol (results are identical either
+    way; ``tests/cache/test_kernel.py`` pins the two access by access).
     """
 
-    def __init__(self, hierarchy=None, prefetchers_on=True, backend="object",
-                 fast_loop=True):
+    def __init__(self, hierarchy=None, prefetchers_on=True, backend="object"):
         self.hierarchy = hierarchy or CacheHierarchy(backend=backend)
         self.hierarchy.set_prefetchers(enabled=prefetchers_on)
-        self.fast_loop = fast_loop
 
     def run(self, workloads, total_accesses=100_000):
         """Co-run the workloads; returns {name: TraceStats}.
@@ -213,13 +212,9 @@ class TraceEngine:
         issued = 0
 
         hierarchy = self.hierarchy
-        use_fast = self.fast_loop and not hierarchy.prefetchers_enabled()
-        core_of = hierarchy.core_of_tid
-        walkers = (
-            [hierarchy.fast_walker(core_of(w.tid)) for w in workloads]
-            if use_fast
-            else None
-        )
+        use_fast = not hierarchy.prefetchers_enabled()
+        access_fast = hierarchy.access_fast
+        cores = [hierarchy.core_of_tid(w.tid) for w in workloads]
         heappop, heappush = heapq.heappop, heapq.heappush
 
         while heap and issued < total_accesses:
@@ -236,8 +231,8 @@ class TraceEngine:
                 except StopIteration:
                     continue
             if use_fast:
-                hit_level, latency = walkers[slot](
-                    access.address >> LINE_SHIFT, access.is_write
+                hit_level, latency = access_fast(
+                    access.address >> LINE_SHIFT, access.is_write, cores[slot]
                 )
             else:
                 result = hierarchy.access(access)
@@ -279,7 +274,7 @@ class TraceEngine:
             raise ValidationError("workload names must be unique")
 
         hierarchy = self.hierarchy
-        if not self.fast_loop or hierarchy.prefetchers_enabled():
+        if hierarchy.prefetchers_enabled():
             return self.run(workloads, total_accesses)
         packs = _acquire_packs(workloads, packs, pack_cache, pack_store)
         if packs is None:
@@ -320,10 +315,8 @@ class TraceEngine:
         if epoch_accesses < 1:
             raise ValidationError("epoch_accesses must be positive")
         hierarchy = self.hierarchy
-        if not self.fast_loop or hierarchy.prefetchers_enabled():
-            raise ValidationError(
-                "run_dynamic needs the fast loop with prefetchers off"
-            )
+        if hierarchy.prefetchers_enabled():
+            raise ValidationError("run_dynamic needs prefetchers off")
         packs = _acquire_packs(workloads, packs, pack_cache, pack_store)
         if packs is None:
             raise ValidationError(

@@ -180,3 +180,91 @@ class TestBandwidthQosDeclinesGrid:
         stock = qos_backend.sweep(spec)
         assert ec.engine_counters().delta(base).get(ec.GRID_CALLS, 0) > 0
         assert self._costs(m for _, m in stock) != self._costs(scalar)
+
+    # Every mutation a Machine (or the run options it is handed) accepts,
+    # with the path co_run_grid must take under it.
+    _MUTATIONS = {
+        "stock": "grid",
+        "apply_qos": "declines",
+        "msr_prefetchers_off": "grid",
+        "operating_points": "grid",
+        "machine_config": "grid",
+        "memo_off": "grid",
+        "occupancy_tol0": "grid",
+        "occupancy_tol_loose": "grid",
+        "finite_background": "declines",
+    }
+
+    @staticmethod
+    def _mutated(mutation):
+        """``(machine, options, configs, restore)`` for one mutation;
+        ``configs`` are the per-cell operating points (None: the
+        machine's own)."""
+        from repro.core import QosContract, apply_qos
+        from repro.cpu.config import SandyBridgeConfig
+        from repro.sim.engine import Machine
+        from repro.sim.tuning import EngineTuning
+
+        base = SandyBridgeConfig()
+        machine, options, configs = Machine(), {}, (None,)
+        restore = lambda: None  # noqa: E731
+        if mutation == "apply_qos":
+            restore = apply_qos(machine, [QosContract(
+                "462.libquantum", reserved_fraction=0.35,
+                latency_priority=True,
+            )])
+        elif mutation == "msr_prefetchers_off":
+            # All four MISC_FEATURE_CONTROL prefetcher-disable bits set.
+            options = {"prefetchers_on": False}
+        elif mutation == "operating_points":
+            configs = (base.at_frequency(2.0e9), base.at_frequency(3.0e9))
+        elif mutation == "machine_config":
+            machine = Machine(config=base.at_frequency(2.3e9))
+        elif mutation == "memo_off":
+            machine = Machine(memoize=False)
+        elif mutation == "occupancy_tol0":
+            machine = Machine(tuning=EngineTuning(occupancy_tol=0.0))
+        elif mutation == "occupancy_tol_loose":
+            machine = Machine(tuning=EngineTuning(occupancy_tol=1e-3))
+        elif mutation == "finite_background":
+            options = {"bg_continuous": False}
+        return machine, options, configs, restore
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_grid_equals_scalar_or_declines(self, mutation):
+        """co_run_grid either reproduces per-cell scalar co_run bit for
+        bit, or declines: the grid-cells counter does not move."""
+        from repro.perf import engine_counters as ec
+        from repro.sim.engine import Machine
+
+        machine, options, configs, restore = self._mutated(mutation)
+        backend = AnalyticalBackend(machine)
+        specs = [
+            AnalyticalBackend.pair_spec(fg, bg, **options)
+            for fg, bg in (("462.libquantum", "stream_uncached"),
+                           ("471.omnetpp", "canneal"))
+        ]
+        items = [
+            (spec, WaySplit.disjoint(w, 12), config)
+            for config in configs for spec in specs for w in (1, 6, 11)
+        ]
+        try:
+            base = ec.engine_counters().snapshot()
+            batch = backend.co_run_grid(
+                item if item[2] is not None else item[:2] for item in items
+            )
+            grid_cells = ec.engine_counters().delta(base).get(
+                ec.GRID_CELLS, 0
+            )
+            scalar = []
+            for spec, split, config in items:
+                reference = backend if config is None else AnalyticalBackend(
+                    Machine(config=config, tuning=machine.tuning)
+                )
+                scalar.append(reference.co_run(spec, split))
+        finally:
+            restore()
+        expected = self._MUTATIONS[mutation]
+        assert grid_cells == (len(items) if expected == "grid" else 0)
+        assert self._costs(batch) == self._costs(scalar)
+        assert [m.raw for m in batch] == [m.raw for m in scalar]

@@ -98,7 +98,8 @@ def _split_masks(fg_ways):
 
 def _mixed_cells():
     """Masked pairs over different splits, a shared pair, a 3-domain
-    cell, and a 1-domain cell — each with its own issue budget."""
+    cell, a 4-tenant group whose last two tenants share one cluster
+    mask, and a 1-domain cell — each with its own issue budget."""
     cells = [
         RosterCell(
             workloads=_pair(),
@@ -125,6 +126,29 @@ def _mixed_cells():
             ),
         ],
         total_accesses=2_500,
+    ))
+    cells.append(RosterCell(
+        workloads=[
+            _workload(
+                "z",
+                lambda: ZipfTrace(500, 256 * KB, alpha=0.9, tid=0, seed=1),
+                0, think=6,
+            ),
+            _workload("s1", lambda: StreamingTrace(400, 512 * KB, tid=2), 2),
+            _workload(
+                "ch",
+                lambda: PointerChaseTrace(300, 128 * KB, tid=4, seed=2),
+                4, think=4,
+            ),
+            _workload("s2", lambda: StreamingTrace(450, 384 * KB, tid=6), 6),
+        ],
+        masks={
+            0: WayMask.contiguous(6, 0),
+            1: WayMask.contiguous(3, 6),
+            2: WayMask.contiguous(3, 9),
+            3: WayMask.contiguous(3, 9),
+        },
+        total_accesses=3_000,
     ))
     cells.append(RosterCell(
         workloads=[
@@ -295,40 +319,3 @@ class TestMeasuredSweep:
             assert measured.bg_rate == direct.bg_rate
             assert measured.raw == direct.raw
             assert measured.extra["source"] == "measured"
-
-
-class TestBenchArmSelection:
-    def _main(self):
-        import importlib.util
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[2]
-        spec = importlib.util.spec_from_file_location(
-            "bench_smoke", root / "scripts" / "bench_smoke.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_unknown_arm_exits_non_zero_listing_the_arms(self, capsys):
-        bench = self._main()
-        with pytest.raises(SystemExit) as excinfo:
-            bench.main(["--only", "bogus", "--check"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown benchmark arm 'bogus'" in err
-        for arm in bench.ARMS:
-            assert arm in err
-
-    def test_gridsolve_arm_enforces_bit_identity(self):
-        bench = self._main()
-        assert "gridsolve" in bench.ARMS
-        payload = bench.run_gridsolve(
-            repeats=1,
-            pairs=(("x264", "429.mcf"),),
-            splits=(1, 6),
-            freqs=(2.0e9,),
-        )
-        assert payload["identical"] is True
-        assert payload["cells"] == 2
-        assert payload["occupancy_tol"] == 0.0

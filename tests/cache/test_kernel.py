@@ -150,6 +150,8 @@ def hierarchy_state(h):
     levels = list(h.l1) + list(h.l2) + [h.llc.storage]
     return (
         [sorted(lvl.stats.snapshot().items()) for lvl in levels],
+        [sorted(lvl.stats.per_domain_accesses.items()) for lvl in levels],
+        [sorted(lvl.stats.per_domain_misses.items()) for lvl in levels],
         [lvl.occupancy_by_way() for lvl in levels],
         [sorted(lvl.resident_lines()) for lvl in levels],
     )
@@ -194,23 +196,23 @@ class TestHierarchyIdentity:
             ), f"access {i} diverged"
         assert hierarchy_state(ref) == hierarchy_state(ker)
 
-    def test_fused_fast_path_matches_object_protocol(self):
-        """The kernel's fused walk == the object model's full access()."""
+    @pytest.mark.parametrize("backend", ["object", "kernel"])
+    def test_access_fast_matches_object_protocol(self, backend):
+        """access_fast on either backend == the object model's access()."""
         ref = tiny_hierarchy("object")
-        ker = tiny_hierarchy("kernel")
-        assert ker._fused is not None
-        for h in (ref, ker):
+        fast = tiny_hierarchy(backend)
+        for h in (ref, fast):
             h.set_prefetchers(enabled=False)
             h.set_way_mask(0, WayMask.contiguous(5, 0))
             h.set_way_mask(1, WayMask.contiguous(7, 5))
         for i, acc in enumerate(mixed_stream(seed=11)):
             core = acc.tid // 2
             a = ref.access(acc)
-            level, latency = ker.access_fast(
+            level, latency = fast.access_fast(
                 acc.line_address, acc.is_write, core
             )
             assert (a.hit_level, a.latency) == (level, latency), f"access {i}"
-        assert hierarchy_state(ref) == hierarchy_state(ker)
+        assert hierarchy_state(ref) == hierarchy_state(fast)
 
     def test_run_trace_batched_totals_match(self):
         stream = mixed_stream(n=3000, seed=8)
@@ -220,14 +222,6 @@ class TestHierarchyIdentity:
             h.set_prefetchers(enabled=False)
             totals[backend] = h.run_trace(stream)
         assert totals["object"] == totals["kernel"]
-
-    def test_fast_walker_object_backend_fallback(self):
-        h = tiny_hierarchy("object")
-        h.set_prefetchers(enabled=False)
-        walk = h.fast_walker(0)
-        level, latency = walk(123, False)
-        assert level == "MEM" and latency == 200
-        assert walk(123, False) == ("L1", 4)
 
 
 def _lru8_brute_force():

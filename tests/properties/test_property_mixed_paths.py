@@ -1,7 +1,7 @@
 """Property: one hierarchy survives any chain of replay paths.
 
 Every step of a random chain runs on the same kernel-backed hierarchy:
-the fused ``run()`` walk (list-form levels), a native ``run_packed``
+the generic ``run()`` walk (list-form levels), a native ``run_packed``
 (flat-form levels, updated in place), the pure-Python epoch driver
 (``REPRO_NATIVE=0``), a way-mask change, or one ``run_dynamic`` epoch.
 The same chain runs on the object model. Each hand-over between the two

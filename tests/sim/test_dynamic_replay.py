@@ -87,8 +87,7 @@ def _workloads(n=3, length=5_000, repeats=None, thinks=None):
 
 
 def _engine(n=3):
-    engine = TraceEngine(prefetchers_on=False, backend="kernel",
-                         fast_loop=True)
+    engine = TraceEngine(prefetchers_on=False, backend="kernel")
     start = 0
     for i, ways in enumerate(_PARTITIONS[n]):
         core = engine.hierarchy.core_of_tid(_TIDS[i])

@@ -195,8 +195,7 @@ class TestRunPacked:
 
     @staticmethod
     def _engine(partition=True):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel",
-                             fast_loop=True)
+        engine = TraceEngine(prefetchers_on=False, backend="kernel")
         if partition:
             engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
             engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
