@@ -9,18 +9,21 @@ tell the same story. This example:
 2. fits the statistical model's curve form to those measurements,
 3. shows the address-level isolation experiment (alone / shared /
    partitioned) whose shape the interval engine reproduces at scale,
-4. cross-validates the two cache backends and the profiled MRC: the
-   flat-array kernel must be bit-identical to the object model on a
-   partitioned co-run, and the single-pass way profile must agree with
-   per-mask re-simulation and fit the same interval-model curve.
+4. cross-validates the replay paths and the profiled MRC: the packed
+   replay (native kernel, then the pure-Python driver) must be
+   bit-identical to the object model's run() on a partitioned co-run,
+   and the single-pass way profile must agree with per-mask
+   re-simulation and fit the same interval-model curve.
 
 Exits non-zero if any arm drifts.
 
 Run:  python examples/engine_cross_validation.py
 """
 
+import os
 import sys
 
+from repro.cache import native
 from repro.cache.llc import WayMask
 from repro.sim.trace_engine import TraceEngine, TraceWorkload, measure_isolation
 from repro.util import format_table, sparkline
@@ -91,11 +94,13 @@ def isolation_at_address_level():
     )
 
 
-def _co_run_signature(backend):
-    engine = TraceEngine(prefetchers_on=False, backend=backend)
+def _co_run_signature(method):
+    """Stats and final cache state of one partitioned co-run through
+    ``TraceEngine.<method>`` (``run`` or ``run_packed``)."""
+    engine = TraceEngine(prefetchers_on=False)
     engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
     engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
-    stats = engine.run(
+    stats = getattr(engine, method)(
         [
             TraceWorkload(
                 "fg",
@@ -126,14 +131,32 @@ def _co_run_signature(backend):
     )
 
 
-def backend_cross_validation():
-    """Arm 3: kernel vs object model vs interval-model curve fit."""
+def _without_native(fn):
+    """Run ``fn`` with the native kernels disabled (``REPRO_NATIVE=0``)."""
+    previous = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "0"
+    native.reset()
+    try:
+        return fn()
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = previous
+        native.reset()
+
+
+def replay_cross_validation():
+    """Arm 3: packed replays vs object model vs interval-model curve fit."""
     failures = []
 
-    # Bit-identity of the cache backends on a partitioned co-run: the
-    # flat-array kernel levels against the object model's.
-    if _co_run_signature("kernel") != _co_run_signature("object"):
-        failures.append("kernel backend diverges from the object model")
+    # Bit-identity of the packed replays on a partitioned co-run: the
+    # native kernel and the pure-Python driver against run().
+    reference = _co_run_signature("run")
+    if _co_run_signature("run_packed") != reference:
+        failures.append("native packed replay diverges from run()")
+    if _without_native(lambda: _co_run_signature("run_packed")) != reference:
+        failures.append("Python packed replay diverges from run()")
 
     # The single-pass profile against per-mask replay, and both against
     # the interval engine's fitted curve form.
@@ -170,12 +193,13 @@ def backend_cross_validation():
         format_table(
             ["LLC MB", "replayed", "profiled (1 pass)", "interval fit"],
             rows,
-            title="3. Backend cross-validation",
+            title="3. Replay cross-validation",
         )
     )
     status = "OK" if not failures else "; ".join(failures)
-    print(f"   kernel == object on a partitioned co-run: "
-          f"{'yes' if not any('backend' in f for f in failures) else 'NO'}")
+    drifted = any("replay" in f for f in failures)
+    print(f"   run_packed (native and Python) == run() on a partitioned "
+          f"co-run: {'NO' if drifted else 'yes'}")
     print(f"   cross-validation: {status}")
     return failures
 
@@ -185,7 +209,7 @@ def main():
     print()
     isolation_at_address_level()
     print()
-    failures = backend_cross_validation()
+    failures = replay_cross_validation()
     if failures:
         print(f"DRIFT DETECTED: {failures}", file=sys.stderr)
         return 1

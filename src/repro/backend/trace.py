@@ -46,14 +46,13 @@ class TraceBackend(SimBackend):
     """Shared/fair/biased/dynamic over the address-level trace engine."""
 
     def __init__(self, total_accesses=DEFAULT_TOTAL_ACCESSES,
-                 cache_backend="kernel", prefetchers_on=False,
-                 use_packs=True, epoch_accesses=DEFAULT_EPOCH_ACCESSES,
+                 prefetchers_on=False, use_packs=True,
+                 epoch_accesses=DEFAULT_EPOCH_ACCESSES,
                  dynamic_total_accesses=None, measured_sweep=False,
                  native_threads=None):
         if total_accesses < 1:
             raise ValidationError("total_accesses must be positive")
         self.total_accesses = total_accesses
-        self.cache_backend = cache_backend
         self.prefetchers_on = prefetchers_on
         self.use_packs = use_packs
         self.epoch_accesses = epoch_accesses
@@ -83,9 +82,7 @@ class TraceBackend(SimBackend):
         from repro.cache.llc import WayMask
         from repro.sim.trace_engine import TraceEngine
 
-        engine = TraceEngine(
-            prefetchers_on=self.prefetchers_on, backend=self.cache_backend
-        )
+        engine = TraceEngine(prefetchers_on=self.prefetchers_on)
         if split is not None:
             llc_ways = self.capabilities().llc_ways
             core_of = engine.hierarchy.core_of_tid
@@ -209,7 +206,6 @@ class TraceBackend(SimBackend):
         outcomes = run_packed_roster(
             cells,
             prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
             threads=self.native_threads,
         )
         return self.sweep_entries(spec, splits, outcomes)
@@ -244,7 +240,6 @@ class TraceBackend(SimBackend):
             workloads,
             total_accesses=self.total_accesses,
             prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
             use_packs=self.use_packs,
         )
         fg_curve = curves[spec.fg.tid // 2]
@@ -328,7 +323,6 @@ class TraceBackend(SimBackend):
         result = run_dynamic_roster(
             [cell],
             prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
             threads=self.native_threads,
             sequential=not self.use_packs,
         )[0]
@@ -402,7 +396,6 @@ class TraceBackend(SimBackend):
             stats = run_packed_roster(
                 [cell],
                 prefetchers_on=self.prefetchers_on,
-                backend=self.cache_backend,
                 threads=self.native_threads,
             )[0]
         return self.group_measurement(group, split, stats)
@@ -462,7 +455,6 @@ class TraceBackend(SimBackend):
         result = run_dynamic_roster(
             [cell],
             prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
             threads=self.native_threads,
             sequential=not self.use_packs,
         )[0]
@@ -478,7 +470,6 @@ class TraceBackend(SimBackend):
             list(group.tenants),
             total_accesses=self.total_accesses,
             prefetchers_on=self.prefetchers_on,
-            backend=self.cache_backend,
             use_packs=self.use_packs,
         )
         out = {}

@@ -20,7 +20,7 @@ from repro.cache.block import CacheLine, MemoryAccess
 from repro.cache.cache import CacheLevel
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.indexing import HashedIndex, ModuloIndex
-from repro.cache.kernel import BACKENDS, KernelCacheLevel, make_cache_level
+from repro.cache.kernel import KernelCacheLevel, make_cache_level
 from repro.cache.llc import PartitionedLLC, WayMask
 from repro.cache.profile import WayCurve, WayProfiler, WaySweep, verify_profile
 from repro.cache.prefetch import (
@@ -34,7 +34,6 @@ from repro.cache.replacement import PseudoLruTree, TrueLru
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "BACKENDS",
     "CacheHierarchy",
     "CacheLevel",
     "CacheLine",

@@ -42,6 +42,8 @@ class CacheLevel:
             raise ConfigurationError(f"unknown replacement policy {replacement!r}")
         if indexing not in _INDEXING:
             raise ConfigurationError(f"unknown indexing scheme {indexing!r}")
+        self.replacement = replacement
+        self.indexing = indexing
         self._indexer = _INDEXING[indexing](self.num_sets)
         self._sets = [
             [CacheLine() for _ in range(num_ways)] for _ in range(self.num_sets)

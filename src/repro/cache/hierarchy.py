@@ -21,7 +21,14 @@ MEM_LATENCY = 200
 
 
 class CacheHierarchy:
-    """Private L1/L2 per core plus the shared partitioned LLC."""
+    """Private L1/L2 per core plus the shared partitioned LLC.
+
+    Every level starts as a flat-form
+    :class:`~repro.cache.kernel.KernelCacheLevel` where one exists; the
+    first per-access use of a level turns it into the object model (see
+    :mod:`repro.cache.kernel`), and the pack replays take clean levels
+    back to the flat form.
+    """
 
     def __init__(
         self,
@@ -34,20 +41,18 @@ class CacheHierarchy:
         llc_ways=12,
         line_size=64,
         llc_indexing="hash",
-        backend="object",
     ):
         self.num_cores = num_cores
         self.line_size = line_size
-        self.backend = backend
         self.l1 = [
             make_cache_level(
-                backend, f"L1-{c}", l1_bytes, l1_ways, line_size, replacement="lru"
+                f"L1-{c}", l1_bytes, l1_ways, line_size, replacement="lru"
             )
             for c in range(num_cores)
         ]
         self.l2 = [
             make_cache_level(
-                backend, f"L2-{c}", l2_bytes, l2_ways, line_size, replacement="plru"
+                f"L2-{c}", l2_bytes, l2_ways, line_size, replacement="plru"
             )
             for c in range(num_cores)
         ]
@@ -57,7 +62,6 @@ class CacheHierarchy:
             line_size=line_size,
             num_domains=num_cores,
             indexing=llc_indexing,
-            backend=backend,
         )
         self.prefetchers = [PrefetcherBank() for _ in range(num_cores)]
         # Optional way-profiler observing every LLC probe (line, domain).

@@ -1,57 +1,65 @@
-"""Flat-array set-associative simulation kernel.
+"""Cache-level state in the native kernels' flat layout, and the pack
+replay drivers that walk it.
 
-:class:`KernelCacheLevel` is a drop-in replacement for
-:class:`repro.cache.cache.CacheLevel` that keeps tag, state, and recency
-information in flat contiguous buffers instead of nested ``CacheLine``
-objects. A level holds its state in exactly one of two forms:
+:class:`KernelCacheLevel` holds one level's state and nothing of the
+per-access protocol: the object model
+(:class:`repro.cache.cache.CacheLevel`) is the one Python definition of
+hits, fills, victims and invalidation. A kernel level holds its state in
+exactly one of two forms:
 
 - **flat** (where every level starts): int64 numpy arrays in the
   layout the native kernels (``multiwalk.c``, ``batchwalk.c``,
   ``epochbatch.c``) read and write — ``tags[set * ways + way]`` (-1 when
   invalid), per-set valid bitmasks, one recency word per set (the PLRU
   tree bits, or the 8-way LRU permutation-FSM state), and sharer words
-  (``None`` while all zero). Dirty, prefetched and touched-prefetch bits
-  are all zero in this form. A native replay works on these buffers in
+  (``None`` while all zero). A native replay works on these buffers in
   place, so a fresh hierarchy, replayed once and discarded, never
   builds a Python list.
-- **lists**: the Python-walk layout. Presence is one per-set
-  ``tag -> way`` dict probe; valid/dirty/prefetched flags are per-set
-  bitmasks; true-LRU recency is a monotonically increasing touch stamp
-  (victim = minimum stamp among allowed ways, exactly the tail of the
-  recency list); tree-PLRU touches collapse to two precomputed bit
-  masks per way and the victim walk tests subtree membership with
-  range bitmasks; hashed set indices are memoized.
+- **lists**: the same fields as Python lists plus one ``tag -> way``
+  dict per set, the layout :class:`PythonEpochReplay`'s lean walk runs
+  on.
 
-In flat form the list attributes do not exist: the first read of one
-(any probe, fill, or Python walk build) converts the level to lists
-(counted as ``level-materializations`` in ``--engine-stat``), so no
-reader ever sees stale state. A native replay converts list-form levels
-back to flat (:meth:`KernelCacheLevel.flat_state`) when their dirty,
-prefetch and touched-prefetch bits are all zero. LRU levels of other
-than 8 ways have no FSM encoding and stay in list form.
+Dirty, prefetched and touched-prefetch bits are zero in both forms.
+Every conversion happens in place, so references to a level stay valid:
 
-The kernel is bit-identical to the object model — same hits, same victim
-choices, same evictions and stats — for LRU and PLRU, modulo and hashed
-indexing, with and without way masks. ``tests/cache/test_kernel.py``
-holds the two backends to exact agreement step by step.
+- the first read of a list attribute builds the lists from the flat
+  arrays, and :meth:`KernelCacheLevel.flat_state` goes back;
+- the first use of the object model's protocol (``access``, ``fill``,
+  ``invalidate``, ``_sets``, ...) turns the instance into a
+  :class:`CacheLevel` built from its flat state;
+- a pack replay turns a :class:`CacheLevel` back into a flat kernel
+  level when it has a flat encoding and all-zero dirty, prefetch and
+  inner-sharer state (:func:`_epoch_replay_supported`).
+
+Leaving the flat form for lists or for the object model is counted as
+``level-materializations`` in ``--engine-stat``. An LRU level of other
+than 8 ways has no flat encoding: :func:`make_cache_level` builds it as
+a :class:`CacheLevel`.
 """
 
 from repro.cache.block import CacheLine
 from repro.cache.cache import CacheLevel, _INDEXING
+from repro.cache.replacement import PseudoLruTree, TrueLru
 from repro.cache.stats import CacheStats
 from repro.perf import engine_counters as ec
-from repro.util.errors import ConfigurationError, ValidationError
-
-BACKENDS = ("object", "kernel")
-
-_INDEX_MEMO_CAP = 1 << 20  # bound the hashed-index memo on huge footprints
+from repro.util.errors import ConfigurationError
 
 # The list-form state attributes; absent from a flat-form level's
 # __dict__, so reading one reaches __getattr__ and materializes them.
-_LIST_STATE = frozenset((
-    "_tags", "_sharers", "_valid", "_dirty", "_prefetched", "_touched_pf",
-    "_lookup", "_stamp", "_plru",
+_LIST_STATE = frozenset(("_tags", "_sharers", "_valid", "_lookup", "_rec"))
+
+# The object model's state and protocol: reading any of these on a
+# kernel level turns it into a CacheLevel.
+_OBJECT_NAMES = frozenset((
+    "_sets", "_policies", "_tag_index",
+    *(name for name in vars(CacheLevel) if not name.startswith("__")),
 ))
+
+# Attributes both level classes carry unchanged across a conversion.
+_SHARED_ATTRS = (
+    "name", "capacity_bytes", "num_ways", "line_size", "num_sets",
+    "replacement", "indexing", "_indexer", "stats",
+)
 
 
 class FlatLevelState:
@@ -73,8 +81,50 @@ class FlatLevelState:
         self.sharers = sharers
 
 
+def _plru_geometry(num_ways):
+    """``(leaves, set_masks, clear_invs, left_masks, right_masks)`` of a
+    tree-PLRU over ``num_ways`` ways.
+
+    A touch of way ``w`` is ``bits = (bits | set_masks[w]) &
+    clear_invs[w]``; ``left_masks[node]`` / ``right_masks[node]`` are the
+    way bitmasks of a node's subtrees (heap order, root at index 1), the
+    victim walk's static tables.
+    """
+    leaves = 1
+    while leaves < num_ways:
+        leaves *= 2
+    set_masks, clear_invs = [], []
+    for way in range(num_ways):
+        node, lo, hi = 1, 0, leaves
+        set_bits = clear_bits = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if way < mid:
+                set_bits |= 1 << node  # point right, away from way
+                node, hi = 2 * node, mid
+            else:
+                clear_bits |= 1 << node  # point left
+                node, lo = 2 * node + 1, mid
+        set_masks.append(set_bits)
+        clear_invs.append(~clear_bits)
+    left_masks = [0] * (2 * leaves)
+    right_masks = [0] * (2 * leaves)
+
+    def build(node, lo, hi):
+        if hi - lo <= 1:
+            return
+        mid = (lo + hi) // 2
+        left_masks[node] = (1 << mid) - (1 << lo)
+        right_masks[node] = (1 << hi) - (1 << mid)
+        build(2 * node, lo, mid)
+        build(2 * node + 1, mid, hi)
+
+    build(1, 0, leaves)
+    return leaves, set_masks, clear_invs, left_masks, right_masks
+
+
 class KernelCacheLevel:
-    """One cache level backed by flat arrays (see module docstring)."""
+    """One cache level's state in flat or list form (see module docstring)."""
 
     def __init__(
         self,
@@ -94,106 +144,52 @@ class KernelCacheLevel:
             raise ConfigurationError(f"unknown replacement policy {replacement!r}")
         if indexing not in _INDEXING:
             raise ConfigurationError(f"unknown indexing scheme {indexing!r}")
+        if replacement == "lru" and num_ways != 8:
+            raise ConfigurationError(
+                f"{name}: {num_ways}-way LRU has no flat encoding"
+            )
+        import numpy as np
+
         self.name = name
         self.capacity_bytes = capacity_bytes
         self.num_ways = num_ways
         self.line_size = line_size
         self.num_sets = capacity_bytes // (num_ways * line_size)
+        self.replacement = replacement
+        self.indexing = indexing
         self._indexer = _INDEXING[indexing](self.num_sets)
-        self._is_lru = replacement == "lru"
-        self._full_mask = (1 << num_ways) - 1
-
-        num_sets, W = self.num_sets, num_ways
-        self._flat = None
-        if self._is_lru:
-            # Stamp ordering replicates TrueLru's initial recency list
-            # [0, 1, ..., W-1] (way 0 most recent): higher stamp = more
-            # recent, stamps stay unique so victim choice is unambiguous.
-            # FSM state 0 is the same order.
-            self._clock = W + 1
-        else:
-            leaves = 1
-            while leaves < W:
-                leaves *= 2
-            self._leaves = leaves
-            # The touch path through the tree is fixed per way: precompute
-            # the bits it sets and clears so a touch is two bit ops.
-            set_masks, clear_invs = [], []
-            for way in range(W):
-                node, lo, hi = 1, 0, leaves
-                set_bits = clear_bits = 0
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if way < mid:
-                        set_bits |= 1 << node  # point right, away from way
-                        node, hi = 2 * node, mid
-                    else:
-                        clear_bits |= 1 << node  # point left
-                        node, lo = 2 * node + 1, mid
-                set_masks.append(set_bits)
-                clear_invs.append(~clear_bits)
-            self._plru_set = set_masks
-            self._plru_clear_inv = clear_invs
-            # Static victim-walk tables: per tree node, the way-bitmask of
-            # its left and right subtrees (heap order, root at index 1;
-            # leaf node n corresponds to way n - leaves).
-            left_masks = [0] * (2 * leaves)
-            right_masks = [0] * (2 * leaves)
-
-            def build(node, lo, hi):
-                if hi - lo <= 1:
-                    return
-                mid = (lo + hi) // 2
-                left_masks[node] = (1 << mid) - (1 << lo)
-                right_masks[node] = (1 << hi) - (1 << mid)
-                build(2 * node, lo, mid)
-                build(2 * node + 1, mid, hi)
-
-            build(1, 0, leaves)
-            self._plru_left = left_masks
-            self._plru_right = right_masks
-
-        if self._is_lru and W != 8:
-            self._init_lists()  # no FSM encoding: list form for life
-        else:
-            import numpy as np
-
-            i64 = np.int64
-            self._flat = FlatLevelState(
-                np.full(num_sets * W, -1, dtype=i64),
-                np.zeros(num_sets, dtype=i64),
-                np.zeros(num_sets, dtype=i64),
-            )
-
-        if indexing == "mod":
-            self._mod_mask = self.num_sets - 1
-            self._index_memo = None
-        else:
-            self._mod_mask = -1
-            self._index_memo = {}
         self.stats = CacheStats()
+        self._set_geometry()
+        i64 = np.int64
+        self._flat = FlatLevelState(
+            np.full(self.num_sets * num_ways, -1, dtype=i64),
+            np.zeros(self.num_sets, dtype=i64),
+            np.zeros(self.num_sets, dtype=i64),
+        )
+
+    def _set_geometry(self):
+        """The walks' per-geometry constants (no state)."""
+        self._full_mask = (1 << self.num_ways) - 1
+        self._mod_mask = self.num_sets - 1 if self.indexing == "mod" else -1
+        if self.replacement == "plru":
+            (
+                self._leaves, self._plru_set, self._plru_clear_inv,
+                self._plru_left, self._plru_right,
+            ) = _plru_geometry(self.num_ways)
 
     # -- state forms -------------------------------------------------------
 
-    def _init_lists(self):
-        num_sets, W = self.num_sets, self.num_ways
-        self._tags = [-1] * (num_sets * W)
-        self._sharers = [0] * (num_sets * W)
-        self._valid = [0] * num_sets
-        self._dirty = [0] * num_sets
-        self._prefetched = [0] * num_sets
-        self._touched_pf = [0] * num_sets
-        self._lookup = [dict() for _ in range(num_sets)]
-        if self._is_lru:
-            self._stamp = [W - w for _ in range(num_sets) for w in range(W)]
-        else:
-            self._plru = [0] * num_sets
-
     def __getattr__(self, name):
-        # Reached only for attributes missing from __dict__: a flat-form
-        # level builds its list state on the first read of any of it.
-        if name in _LIST_STATE and self.__dict__.get("_flat") is not None:
+        # Reached only for attributes missing from the instance and the
+        # class: a flat-form level builds its list state on the first
+        # read of any of it, and any level becomes a CacheLevel on the
+        # first use of the object model.
+        state = self.__dict__
+        if name in _LIST_STATE and state.get("_flat") is not None:
             self._materialize()
+            return getattr(self, name)
+        if name in _OBJECT_NAMES and "_flat" in state:
+            self._to_object()
             return getattr(self, name)
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -228,44 +224,22 @@ class KernelCacheLevel:
             [0] * (num_sets * W) if flat.sharers is None
             else flat.sharers.tolist()
         )
-        self._dirty = [0] * num_sets
-        self._prefetched = [0] * num_sets
-        self._touched_pf = [0] * num_sets
-        if self._is_lru:
-            self._stamp = _states_to_stamps(flat.rec, self._clock).tolist()
-            self._clock += 8
-        else:
-            self._plru = flat.rec.tolist()
+        self._rec = flat.rec.tolist()
         self._flat = None
         ec.add(ec.LEVEL_MATERIALIZATIONS)
 
-    def _flattenable(self):
-        """Whether the state fits the flat form (O(1) when already flat)."""
-        if self._flat is not None:
-            return True
-        if self._is_lru and self.num_ways != 8:
-            return False
-        return not (
-            any(self._dirty) or any(self._prefetched) or any(self._touched_pf)
-        )
-
     def flat_state(self):
         """The level's :class:`FlatLevelState`, converting list form to
-        it first (the caller checked :meth:`_flattenable`; closures over
-        the old lists are stale afterwards)."""
+        it first (closures over the old lists are stale afterwards)."""
         flat = self._flat
         if flat is None:
             import numpy as np
 
             i64 = np.int64
-            if self._is_lru:
-                rec = _stamps_to_states(self._stamp)
-            else:
-                rec = np.array(self._plru, dtype=i64)
             flat = FlatLevelState(
                 np.array(self._tags, dtype=i64),
                 np.array(self._valid, dtype=i64),
-                rec,
+                np.array(self._rec, dtype=i64),
                 np.array(self._sharers, dtype=i64)
                 if any(self._sharers) else None,
             )
@@ -274,254 +248,58 @@ class KernelCacheLevel:
             self._flat = flat
         return flat
 
-    # -- lookup ----------------------------------------------------------
+    def _has_sharers(self):
+        flat = self._flat
+        if flat is None:
+            return any(self._sharers)
+        return flat.sharers is not None and bool(flat.sharers.any())
 
-    def set_index(self, line_number):
-        if self._mod_mask >= 0:
-            return line_number & self._mod_mask
-        memo = self._index_memo
-        idx = memo.get(line_number)
-        if idx is None:
-            idx = self._indexer.index(line_number)
-            if len(memo) >= _INDEX_MEMO_CAP:
-                memo.clear()
-            memo[line_number] = idx
-        return idx
+    def _to_object(self):
+        """Become a :class:`CacheLevel` in place, with the object model's
+        state built from the flat arrays (list form goes through
+        :meth:`flat_state` first). Stats and identity carry over."""
+        import numpy as np
 
-    def find(self, line_number):
-        """Return (set_index, way) if the line is present, else (set, None)."""
-        set_idx = self.set_index(line_number)
-        return set_idx, self._lookup[set_idx].get(line_number)
-
-    def contains(self, line_number):
-        set_idx = self.set_index(line_number)
-        return line_number in self._lookup[set_idx]
-
-    # -- access / fill / invalidate --------------------------------------
-
-    def _touch(self, set_idx, way):
-        if self._is_lru:
-            self._stamp[set_idx * self.num_ways + way] = self._clock
-            self._clock += 1
+        flat = self.flat_state()
+        num_sets, W = self.num_sets, self.num_ways
+        lru = self.replacement == "lru"
+        policy = TrueLru if lru else PseudoLruTree
+        sets = [[CacheLine() for _ in range(W)] for _ in range(num_sets)]
+        policies = [policy(W) for _ in range(num_sets)]
+        tag_index = [dict() for _ in range(num_sets)]
+        occupied = np.flatnonzero(flat.valid).tolist()
+        if occupied:
+            tags = flat.tags.tolist()
+            valid = flat.valid.tolist()
+            sharers = None if flat.sharers is None else flat.sharers.tolist()
+            for s in occupied:
+                row, index = sets[s], tag_index[s]
+                base = s * W
+                v = valid[s]
+                while v:
+                    low = v & -v
+                    v ^= low
+                    w = low.bit_length() - 1
+                    cl = row[w]
+                    cl.tag = tags[base + w]
+                    cl.valid = True
+                    if sharers is not None:
+                        cl.sharers = sharers[base + w]
+                    index[cl.tag] = w
+        rec = flat.rec
+        if lru:
+            perms = _lru8_tables()[0]
+            for s in np.flatnonzero(rec).tolist():
+                policies[s]._recency = perms[rec[s]].tolist()
         else:
-            self._plru[set_idx] = (
-                self._plru[set_idx] | self._plru_set[way]
-            ) & self._plru_clear_inv[way]
-
-    def access(self, line_number, is_write=False, domain=0):
-        """Probe for a line; returns True on hit (recency updated).
-
-        The body inlines :meth:`set_index`, the recency touch, and
-        ``CacheStats.record_access`` — this is the hottest path in the
-        address-level engine. Counts are identical to the object model.
-        """
-        if self._mod_mask >= 0:
-            set_idx = line_number & self._mod_mask
-        else:
-            memo = self._index_memo
-            set_idx = memo.get(line_number)
-            if set_idx is None:
-                set_idx = self._indexer.index(line_number)
-                if len(memo) >= _INDEX_MEMO_CAP:
-                    memo.clear()
-                memo[line_number] = set_idx
-        way = self._lookup[set_idx].get(line_number)
-        stats = self.stats
-        stats.accesses += 1
-        per_access = stats.per_domain_accesses
-        per_access[domain] = per_access.get(domain, 0) + 1
-        if way is None:
-            stats.misses += 1
-            per_miss = stats.per_domain_misses
-            per_miss[domain] = per_miss.get(domain, 0) + 1
-            return False
-        stats.hits += 1
-        if self._is_lru:
-            self._stamp[set_idx * self.num_ways + way] = self._clock
-            self._clock += 1
-        else:
-            plru = self._plru
-            plru[set_idx] = (
-                plru[set_idx] | self._plru_set[way]
-            ) & self._plru_clear_inv[way]
-        if is_write:
-            self._dirty[set_idx] |= 1 << way
-        prefetched = self._prefetched[set_idx]
-        if prefetched:
-            bit = 1 << way
-            if prefetched & bit and not self._touched_pf[set_idx] & bit:
-                self._touched_pf[set_idx] |= bit
-                stats.prefetch_useful += 1
-        return True
-
-    def _victim(self, set_idx, candidates):
-        """Replicate the object policies' victim choice (and errors)."""
-        W = self.num_ways
-        if self._is_lru:
-            if candidates is not None and not candidates:
-                raise ValidationError(
-                    "victim selection requires at least one allowed way"
-                )
-            base = set_idx * W
-            stamps = self._stamp
-            best_way, best_stamp = None, None
-            for w in range(W) if candidates is None else candidates:
-                if 0 <= w < W:
-                    stamp = stamps[base + w]
-                    if best_stamp is None or stamp < best_stamp:
-                        best_way, best_stamp = w, stamp
-            if best_way is None:
-                raise ValidationError("allowed ways are outside this set")
-            return best_way
-        if candidates is None:
-            allowed_mask = self._full_mask
-        else:
-            allowed_mask = 0
-            for w in candidates:
-                if 0 <= w < W:
-                    allowed_mask |= 1 << w
-        if not allowed_mask:
-            raise ValidationError("victim selection requires at least one allowed way")
-        bits = self._plru[set_idx]
-        leaves = self._leaves
-        left_masks, right_masks = self._plru_left, self._plru_right
-        node = 1
-        while node < leaves:
-            go_right = (bits >> node) & 1
-            if go_right:
-                if not allowed_mask & right_masks[node]:
-                    go_right = 0
-            elif not allowed_mask & left_masks[node]:
-                go_right = 1
-            node = 2 * node + 1 if go_right else 2 * node
-        return node - leaves
-
-    def fill(
-        self,
-        line_number,
-        is_write=False,
-        domain=0,
-        allowed_ways=None,
-        prefetch=False,
-        sharer=None,
-    ):
-        """Insert a line, evicting if necessary (CacheLevel semantics)."""
-        if self._mod_mask >= 0:
-            set_idx = line_number & self._mod_mask
-        else:
-            memo = self._index_memo
-            set_idx = memo.get(line_number)
-            if set_idx is None:
-                set_idx = self._indexer.index(line_number)
-                if len(memo) >= _INDEX_MEMO_CAP:
-                    memo.clear()
-                memo[line_number] = set_idx
-        lookup = self._lookup[set_idx]
-        if line_number in lookup:
-            return None  # racing fill (e.g. prefetch landed first)
-
-        W = self.num_ways
-        stats = self.stats
-        valid = self._valid[set_idx]
-        victim_way = None
-        if allowed_ways is None:
-            candidates = None
-            if valid != self._full_mask:
-                invalid = ~valid & self._full_mask
-                victim_way = (invalid & -invalid).bit_length() - 1
-        else:
-            candidates = (
-                allowed_ways
-                if isinstance(allowed_ways, (list, tuple))
-                else list(allowed_ways)
-            )
-            for w in candidates:
-                if 0 <= w < W and not (valid >> w) & 1:
-                    victim_way = w
-                    break
-
-        evicted = None
-        if victim_way is None:
-            victim_way = self._victim(set_idx, candidates)
-            base = set_idx * W + victim_way
-            bit = 1 << victim_way
-            was_dirty = bool(self._dirty[set_idx] & bit)
-            old_tag = self._tags[base]
-            evicted = CacheLine(
-                tag=old_tag,
-                valid=True,
-                dirty=was_dirty,
-                sharers=self._sharers[base],
-            )
-            stats.evictions += 1
-            if was_dirty:
-                stats.writebacks += 1
-            del lookup[old_tag]
-        else:
-            base = set_idx * W + victim_way
-            bit = 1 << victim_way
-
-        self._tags[base] = line_number
-        self._valid[set_idx] = valid | bit
-        if is_write:
-            self._dirty[set_idx] |= bit
-        else:
-            self._dirty[set_idx] &= ~bit
-        self._sharers[base] = (1 << sharer) if sharer is not None else 0
-        if prefetch:
-            self._prefetched[set_idx] |= bit
-            stats.prefetch_fills += 1
-        else:
-            self._prefetched[set_idx] &= ~bit
-        self._touched_pf[set_idx] &= ~bit
-        lookup[line_number] = victim_way
-        stats.fills += 1
-        if self._is_lru:
-            self._stamp[base] = self._clock
-            self._clock += 1
-        else:
-            plru = self._plru
-            plru[set_idx] = (
-                plru[set_idx] | self._plru_set[victim_way]
-            ) & self._plru_clear_inv[victim_way]
-        return evicted
-
-    def add_sharer(self, line_number, core):
-        set_idx, way = self.find(line_number)
-        if way is not None:
-            self._sharers[set_idx * self.num_ways + way] |= 1 << core
-
-    def sharers_of(self, line_number):
-        set_idx, way = self.find(line_number)
-        if way is None:
-            return 0
-        return self._sharers[set_idx * self.num_ways + way]
-
-    def mark_dirty(self, line_number):
-        """Mark a resident line dirty (inner-level writeback landing here)."""
-        set_idx, way = self.find(line_number)
-        if way is None:
-            return False
-        self._dirty[set_idx] |= 1 << way
-        return True
-
-    def invalidate(self, line_number):
-        """Drop a line if present; returns True if it was dirty."""
-        set_idx = self.set_index(line_number)
-        way = self._lookup[set_idx].pop(line_number, None)
-        if way is None:
-            return False
-        bit = 1 << way
-        was_dirty = bool(self._dirty[set_idx] & bit)
-        self._valid[set_idx] &= ~bit
-        self._dirty[set_idx] &= ~bit
-        self._prefetched[set_idx] &= ~bit
-        self._touched_pf[set_idx] &= ~bit
-        base = set_idx * self.num_ways + way
-        self._tags[base] = -1
-        self._sharers[base] = 0
-        self.stats.back_invalidations += 1
-        return was_dirty
+            leaves = policies[0]._leaves
+            for s, word in zip(
+                np.flatnonzero(rec).tolist(), rec[rec != 0].tolist()
+            ):
+                policies[s]._bits = [(word >> n) & 1 for n in range(leaves)]
+        _become(self, CacheLevel, _sets=sets, _policies=policies,
+                _tag_index=tag_index)
+        ec.add(ec.LEVEL_MATERIALIZATIONS)
 
     # -- introspection -----------------------------------------------------
 
@@ -557,6 +335,69 @@ class KernelCacheLevel:
         for lookup in self._lookup:
             resident.update(lookup)
         return resident
+
+
+def _become(level, cls, **state):
+    """Switch ``level`` to class ``cls`` in place: keep the attributes
+    both level classes share, replace the rest with ``state``."""
+    attrs = level.__dict__
+    shared = {name: attrs[name] for name in _SHARED_ATTRS}
+    attrs.clear()
+    attrs.update(shared, **state)
+    level.__class__ = cls
+
+
+def _flat_encodable(level, inner):
+    """Whether ``level`` holds, or can take, the flat form.
+
+    A kernel level holds it; an inner (L1/L2) one must also have
+    all-zero sharer words. An object-model level needs a flat encoding
+    (PLRU, or 8-way LRU) and no dirty, prefetched or touched-prefetch
+    line, nor a sharer bit when ``inner``.
+    """
+    if isinstance(level, KernelCacheLevel):
+        return not (inner and level._has_sharers())
+    if level.replacement == "lru" and level.num_ways != 8:
+        return False
+    for row in level._sets:
+        for cl in row:
+            if (
+                cl.dirty or cl.prefetched or cl.touched_after_prefetch
+                or (inner and cl.sharers)
+            ):
+                return False
+    return True
+
+
+def _to_kernel(level):
+    """Turn a :class:`CacheLevel` that passes :func:`_flat_encodable`
+    into a flat-form :class:`KernelCacheLevel` in place."""
+    import numpy as np
+
+    i64 = np.int64
+    lines = [cl for row in level._sets for cl in row]
+    W = level.num_ways
+    valid = [0] * level.num_sets
+    for i, cl in enumerate(lines):
+        if cl.valid:
+            valid[i // W] |= 1 << (i % W)
+    sharers = [cl.sharers for cl in lines]
+    policies = level._policies
+    if level.replacement == "lru":
+        rec = _lru8_rank(np.array([p._recency for p in policies], dtype=i64))
+    else:
+        rec = np.array(
+            [sum(b << n for n, b in enumerate(p._bits)) for p in policies],
+            dtype=i64,
+        )
+    flat = FlatLevelState(
+        np.array([cl.tag if cl.valid else -1 for cl in lines], dtype=i64),
+        np.array(valid, dtype=i64),
+        rec,
+        np.array(sharers, dtype=i64) if any(sharers) else None,
+    )
+    _become(level, KernelCacheLevel, _flat=flat)
+    level._set_geometry()
 
 
 def _plru_victim_table(leaves, allowed_mask, left_masks, right_masks):
@@ -669,24 +510,6 @@ def _lru8_lists():
     return _LRU8_LISTS
 
 
-def _stamps_to_states(stamps):
-    """Per-set LRU FSM states (int64 array) from a flat 8-way stamp
-    sequence (stamps are unique per set; higher = more recent)."""
-    import numpy as np
-
-    seg = np.asarray(stamps, dtype=np.int64).reshape(-1, 8)
-    return _lru8_rank(np.argsort(-seg, axis=1))
-
-
-def _states_to_stamps(states, clock):
-    """Flat int64 stamp array encoding FSM ``states``: rank ``r`` in a
-    set gets stamp ``clock + 7 - r`` (the caller advances its clock by 8)."""
-    import numpy as np
-
-    _, pos, _, _ = _lru8_tables()
-    return (clock + 7 - pos[states].astype(np.int64)).ravel()
-
-
 def _plru_touch_table(num_ways, set_masks, clear_invs, leaves):
     """next tree state for every (bits, way): bits' = (bits | set) & clear."""
     table = [0] * ((1 << leaves) * num_ways)
@@ -695,43 +518,6 @@ def _plru_touch_table(num_ways, set_masks, clear_invs, leaves):
         for way in range(num_ways):
             table[base + way] = (bits | set_masks[way]) & clear_invs[way]
     return table
-
-
-def _lean_walk_supported(hierarchy, core):
-    """Whether the lean pack walk reproduces the object model on ``core``.
-
-    The walk needs kernel levels (LRU L1, PLRU L2 and LLC, modulo-indexed
-    inner levels), 8-way inner levels for the LRU permutation FSM and the
-    PLRU tables, and all-zero dirty, prefetch, and inner-sharer state.
-    That state stays all-zero under a read-only replay (nothing in the
-    walk can set those bits), so the walk omits those updates. A flat
-    level holds no dirty or prefetch bits and records all-zero sharers
-    as ``None``, so the answer is O(1) and reads no list state.
-    """
-    l1 = hierarchy.l1[core]
-    l2 = hierarchy.l2[core]
-    llc = hierarchy.llc.storage
-    levels = (l1, l2, llc)
-    if not all(isinstance(lvl, KernelCacheLevel) for lvl in levels):
-        return False
-    if not l1._is_lru or l2._is_lru or llc._is_lru:
-        return False
-    if l1._mod_mask < 0 or l2._mod_mask < 0:
-        return False
-    if l1.num_ways != 8 or l2.num_ways != 8:
-        return False
-    for lvl in levels:
-        if lvl._flat is None and (
-            any(lvl._dirty) or any(lvl._prefetched) or any(lvl._touched_pf)
-        ):
-            return False
-    for lvl in (l1, l2):
-        if lvl._flat is None:
-            if any(lvl._sharers):
-                return False
-        elif lvl._flat.sharers is not None:
-            return False
-    return True
 
 
 # Way-masked PLRU victims depend only on (tree geometry, mask, bits), so
@@ -795,7 +581,7 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     Same state transitions as
     :meth:`repro.cache.hierarchy.CacheHierarchy.access_fast`
     (bit-identical caches and stats totals) for a core that passes
-    :func:`_lean_walk_supported`, restructured for long replays:
+    :func:`_epoch_replay_supported`, restructured for long replays:
 
     - the LLC set index comes precomputed from the pack's geometry
       column (``walk(line, llc_set)``), so there is no hashing per access;
@@ -809,7 +595,7 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
 
     Returns ``(walk, flush, report)``: ``report()`` gives the
     ``(l1_hits, l2_hits, llc_hits, llc_misses)`` counts since the last
-    ``flush()``, which deposits them and writes the L1 stamps back.
+    ``flush()``, which deposits them.
     """
     l1 = hierarchy.l1[core]
     l2 = hierarchy.l2[core]
@@ -819,14 +605,29 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     h = hierarchy
     cores_range = range(h.num_cores)
     core_bit = 1 << core
-    l1_objs = list(h.l1)
-    l2_objs = list(h.l2)
-    inner_l1_lookup = [lvl._lookup for lvl in l1_objs]
-    inner_l2_lookup = [lvl._lookup for lvl in l2_objs]
-    l1_inval = [lvl.invalidate for lvl in l1_objs]
-    l2_inval = [lvl.invalidate for lvl in l2_objs]
-    own_l1_inval = l1_inval[core]
-    own_l2_inval = l2_inval[core]
+
+    def dropper(lvl):
+        """Back-invalidate a resident inner line. Inner lines in this
+        walk are clean and unshared, so dropping the line is all of
+        :meth:`~repro.cache.cache.CacheLevel.invalidate`."""
+        lookup, valid, tags = lvl._lookup, lvl._valid, lvl._tags
+        stats, mod, W = lvl.stats, lvl._mod_mask, lvl.num_ways
+
+        def drop(line):
+            s = line & mod
+            way = lookup[s].pop(line)
+            valid[s] &= ~(1 << way)
+            tags[s * W + way] = -1
+            stats.back_invalidations += 1
+
+        return drop
+
+    inner_l1_lookup = [lvl._lookup for lvl in h.l1]
+    inner_l2_lookup = [lvl._lookup for lvl in h.l2]
+    l1_drop = [dropper(lvl) for lvl in h.l1]
+    l2_drop = [dropper(lvl) for lvl in h.l2]
+    own_l1_drop = l1_drop[core]
+    own_l2_drop = l2_drop[core]
 
     l1_mod = l1._mod_mask
     l1_full = l1._full_mask
@@ -834,13 +635,13 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     l1_valid = l1._valid
     l1_stats = l1.stats
     l1_touch, l1_fill_of = _lru8_lists()
-    l1_state = _stamps_to_states(l1._stamp).tolist()
+    l1_state = l1._rec
 
     l2_mod = l2._mod_mask
     l2_full = l2._full_mask
     l2_lookup, l2_tags = l2._lookup, l2._tags
     l2_valid = l2._valid
-    l2_plru = l2._plru
+    l2_plru = l2._rec
     l2_stats = l2.stats
     _, l2_touch_of, l2_fill_of = _plru8_fill_tables(l2)
 
@@ -848,7 +649,7 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
     llc_leaves = llc._leaves
     llc_lookup, llc_tags, llc_sharers = llc._lookup, llc._tags, llc._sharers
     llc_valid = llc._valid
-    llc_plru = llc._plru
+    llc_plru = llc._rec
     llc_pset, llc_pclr = llc._plru_set, llc._plru_clear_inv
     llc_left, llc_right = llc._plru_left, llc._plru_right
     llc_stats = llc.stats
@@ -930,9 +731,9 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
                     # Inclusion: the victim leaves every inner cache.
                     if old_sharers == core_bit:
                         if old_tag in l1_lookup[old_tag & l1_mod]:
-                            own_l1_inval(old_tag)
+                            own_l1_drop(old_tag)
                         if old_tag in l2_lookup[old_tag & l2_mod]:
-                            own_l2_inval(old_tag)
+                            own_l2_drop(old_tag)
                     elif old_sharers:
                         sh = old_sharers
                         while sh:
@@ -940,15 +741,15 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
                             c = low.bit_length() - 1
                             sh ^= low
                             if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                                l1_inval[c](old_tag)
+                                l1_drop[c](old_tag)
                             if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                                l2_inval[c](old_tag)
+                                l2_drop[c](old_tag)
                     else:
                         for c in cores_range:
                             if old_tag in inner_l1_lookup[c][old_tag & l1_mod]:
-                                l1_inval[c](old_tag)
+                                l1_drop[c](old_tag)
                             if old_tag in inner_l2_lookup[c][old_tag & l2_mod]:
-                                l2_inval[c](old_tag)
+                                l2_drop[c](old_tag)
                 llc_tags[base] = line
                 llc_sharers[base] = core_bit
                 look3[line] = victim
@@ -998,7 +799,7 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
         return ret
 
     def flush():
-        """Deposit counter deltas; materialize L1 stamps from the FSM."""
+        """Deposit the counter deltas into the levels' stats."""
         nonlocal h1, h2, h3, m3, ev1, ev2, ev3
         m2 = h3 + m3
         m1 = h2 + m2
@@ -1006,10 +807,6 @@ def _build_lean_pack_walk(hierarchy, core, think_cycles):
         _flush_level_deltas(l2_stats, h2, m2, ev2, 0, core)
         _flush_level_deltas(llc_stats, h3, m3, ev3, 0, core)
         h1 = h2 = h3 = m3 = ev1 = ev2 = ev3 = 0
-        # Rewrite the stamps from the FSM states, so object-path code
-        # (and the next walk build) sees the recency order it tracked.
-        l1._stamp[:] = _states_to_stamps(l1_state, l1._clock).tolist()
-        l1._clock += 8
 
     def report():
         return h1, h2, h3, m3
@@ -1116,18 +913,47 @@ _CFG_SLOTS = 8
 _CFG_STOP = 6
 
 
+def _inner_walkable(l1, l2):
+    """A core's inner levels fit the lean walk and the flat bank layout:
+    8-way, modulo-indexed, LRU L1 (the permutation FSM) and PLRU L2."""
+    return (
+        l1.replacement == "lru" and l2.replacement == "plru"
+        and l1.num_ways == 8 and l2.num_ways == 8
+        and l1.indexing == "mod" and l2.indexing == "mod"
+    )
+
+
 def _epoch_replay_supported(hierarchy, cores):
-    """Guards shared by every pack replay driver (one core per domain)."""
-    if len(set(cores)) != len(cores):
+    """Guards shared by every pack replay driver (one core per domain).
+
+    Each walked core needs :func:`_inner_walkable` inner levels over a
+    PLRU LLC, and every level of the hierarchy must hold or take the
+    flat form (:func:`_flat_encodable`): the lean walk keeps dirty,
+    prefetch and inner-sharer state all-zero, and nothing in a
+    read-only replay sets it. Only when every check passes are
+    object-model levels converted to flat kernel levels, so a replay
+    that declines converts nothing.
+    """
+    h = hierarchy
+    if len(set(cores)) != len(cores) or h.llc.storage.replacement != "plru":
         return False
-    return all(_lean_walk_supported(hierarchy, core) for core in cores)
+    if not all(_inner_walkable(h.l1[c], h.l2[c]) for c in cores):
+        return False
+    if not _flat_encodable(h.llc.storage, inner=False):
+        return False
+    if not all(_flat_encodable(lvl, inner=True) for lvl in (*h.l1, *h.l2)):
+        return False
+    for lvl in _levels(h):
+        if not isinstance(lvl, KernelCacheLevel):
+            _to_kernel(lvl)
+    return True
 
 
 def _profiler_matches_llc(hierarchy):
     """Whether the attached ``llc_profiler`` indexes exactly like the
     LLC: a :class:`~repro.cache.profile.WayProfiler` with the LLC's set
-    count, way count and indexer type, and one domain per core. Then
-    the packs' LLC set column is also the profiler's set index."""
+    count, way count and indexing, and one domain per core. Then the
+    packs' LLC set column is also the profiler's set index."""
     from repro.cache.profile import WayProfiler
 
     prof = hierarchy.llc_profiler
@@ -1136,42 +962,34 @@ def _profiler_matches_llc(hierarchy):
         type(prof) is WayProfiler
         and prof.num_sets == llc.num_sets
         and prof.num_ways == llc.num_ways
-        and type(prof._indexer) is type(llc._indexer)
+        and prof.indexing == llc.indexing
         and prof.num_domains == hierarchy.num_cores
     )
 
 
 def _native_layout_supported(hierarchy):
-    """Extra guards of the compiled kernels.
+    """Extra guards of the compiled kernels, checked after
+    :func:`_epoch_replay_supported` has put every level in kernel form.
 
     An attached profiler must match the LLC's geometry
     (:func:`_profiler_matches_llc`; ``multiwalk.c`` feeds it at every
     LLC probe, the batched builders decline any profiler before this
     check), the LLC mask must fit one int64 word, and every core's
-    inner levels must be 8-way modulo-indexed kernel levels (LRU L1,
-    PLRU L2) of one geometry, the uniform flat layout the C code
-    assumes. Every level must also fit the flat form the kernels run
-    on (no dirty or prefetch bits; O(1) for a level already flat).
+    inner levels must be :func:`_inner_walkable` with one geometry, the
+    uniform flat layout the C code assumes.
     """
     h = hierarchy
     if h.llc.storage.num_ways > 62:
         return False
     if h.llc_profiler is not None and not _profiler_matches_llc(h):
         return False
-    l1_mod = h.l1[0]._mod_mask
-    l2_mod = h.l2[0]._mod_mask
-    for l1, l2 in zip(h.l1, h.l2):
-        if not isinstance(l1, KernelCacheLevel) or not isinstance(
-            l2, KernelCacheLevel
-        ):
-            return False
-        if l1.num_ways != 8 or l2.num_ways != 8:
-            return False
-        if not l1._is_lru or l2._is_lru:
-            return False
-        if l1._mod_mask != l1_mod or l2._mod_mask != l2_mod:
-            return False
-    return all(lvl._flattenable() for lvl in _levels(h))
+    l1_sets = h.l1[0].num_sets
+    l2_sets = h.l2[0].num_sets
+    return all(
+        _inner_walkable(l1, l2)
+        and l1.num_sets == l1_sets and l2.num_sets == l2_sets
+        for l1, l2 in zip(h.l1, h.l2)
+    )
 
 
 def _levels(hierarchy):
@@ -1541,10 +1359,9 @@ def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
     """Epoch driver over the compiled ``multiwalk.c`` kernel, or ``None``
     whenever :func:`build_python_epoch_replay` would decline, the kernel
     is unavailable (no compiler, ``REPRO_NATIVE=0``), the geometry
-    deviates from the uniform flat layout the C code assumes, any level
-    cannot take the flat form, or an attached ``llc_profiler`` does not
-    index like the LLC. A matching profiler is fed by the kernel and
-    observes every LLC probe."""
+    deviates from the uniform flat layout the C code assumes, or an
+    attached ``llc_profiler`` does not index like the LLC. A matching
+    profiler is fed by the kernel and observes every LLC probe."""
     if len(cores) > 16 or not _epoch_replay_supported(hierarchy, cores):
         return None
     if not _native_layout_supported(hierarchy):
@@ -1850,7 +1667,6 @@ def build_native_epoch_batch_replay(hierarchy, cells, threads=None):
 
 
 def make_cache_level(
-    backend,
     name,
     capacity_bytes,
     num_ways,
@@ -1858,18 +1674,12 @@ def make_cache_level(
     replacement="lru",
     indexing="mod",
 ):
-    """Construct a cache level for the chosen backend.
-
-    ``object`` is the reference model, ``kernel`` the flat-array kernel.
-    """
-    if backend == "kernel":
-        return KernelCacheLevel(
-            name, capacity_bytes, num_ways, line_size, replacement, indexing
-        )
-    if backend == "object":
-        return CacheLevel(
-            name, capacity_bytes, num_ways, line_size, replacement, indexing
-        )
-    raise ConfigurationError(
-        f"unknown cache backend {backend!r}; pick one of {BACKENDS}"
+    """A cache level that starts in the flat form where one exists
+    (PLRU, or 8-way LRU), else an object-model :class:`CacheLevel`."""
+    cls = (
+        CacheLevel if replacement == "lru" and num_ways != 8
+        else KernelCacheLevel
+    )
+    return cls(
+        name, capacity_bytes, num_ways, line_size, replacement, indexing
     )

@@ -89,12 +89,10 @@ class PartitionedLLC:
         num_domains=4,
         replacement="plru",
         indexing="hash",
-        backend="object",
     ):
         if num_domains < 1:
             raise ConfigurationError("need at least one domain")
         self.storage = make_cache_level(
-            backend,
             "LLC",
             capacity_bytes,
             num_ways,

@@ -64,9 +64,6 @@ class PseudoLruTree:
         # Internal nodes of a complete binary tree, root at index 1.
         self._bits = [0] * self._leaves
 
-    def _leaf_range(self, node, lo, hi):
-        return lo, hi
-
     def touch(self, way):
         """Update direction bits so the walk points away from ``way``."""
         if not 0 <= way < self.num_ways:

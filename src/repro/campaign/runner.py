@@ -217,7 +217,6 @@ def _execute_roster_shard(shard, threads):
     outcomes = run_packed_roster(
         [roster for _, roster, _ in built],
         prefetchers_on=False,
-        backend="kernel",
         threads=threads,
     )
     records = []
@@ -261,7 +260,6 @@ def _execute_cluster_shard(shard, threads):
             for backend, group, plan in built
         ],
         prefetchers_on=False,
-        backend="kernel",
         threads=threads,
     )
     return [
@@ -334,7 +332,7 @@ def _execute_sweep_shard(shard, threads):
         built.append((backend, spec, splits, len(cells)))
         roster.extend(cells)
     outcomes = run_packed_roster(
-        roster, prefetchers_on=False, backend="kernel", threads=threads
+        roster, prefetchers_on=False, threads=threads
     )
     records = []
     offset = 0
@@ -375,7 +373,6 @@ def _execute_dynamic_shard(shard, threads):
     results = run_dynamic_roster(
         [roster_cell for _, _, roster_cell in built],
         prefetchers_on=False,
-        backend="kernel",
         threads=threads,
     )
     records = []

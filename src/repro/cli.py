@@ -907,8 +907,7 @@ def _cmd_trace_sweep(args, out):
             )
         else:
             rows = verify_profile(
-                factory, way_counts=way_counts, backend="kernel",
-                use_pack=use_packs,
+                factory, way_counts=way_counts, use_pack=use_packs,
             )
             out.write(
                 f"check: profiled hits match per-mask re-simulation at "

@@ -116,7 +116,7 @@ def _acquire_packs(workloads, packs, pack_cache, pack_store):
 
 def _llc_columns(llc):
     """``(num_sets, indexing)`` naming the packs' LLC set column."""
-    return llc.num_sets, "mod" if llc._mod_mask >= 0 else "hash"
+    return llc.num_sets, llc.indexing
 
 
 def _build_replay(hierarchy, workloads, cores, packs):
@@ -134,7 +134,7 @@ def _build_replay(hierarchy, workloads, cores, packs):
     )
 
     if not _epoch_replay_supported(hierarchy, cores):
-        return None  # e.g. the object backend: no LLC set column
+        return None  # e.g. dirty levels left by run()
     thinks = [w.think_cycles for w in workloads]
     repeats = [w.repeat for w in workloads]
     lengths = [len(p.line) for p in packs]
@@ -171,19 +171,20 @@ def _timeline_entry(epoch, controller, new_masks):
 
 
 class TraceEngine:
-    """Virtual-time interleaving of traces over one cache hierarchy.
+    """Virtual-time interleaving of traces over one cache hierarchy
+    (a fresh default :class:`CacheHierarchy` when none is supplied).
 
-    ``backend`` picks the cache implementation when no hierarchy is
-    supplied: ``"object"`` (reference model) or ``"kernel"`` (flat-array
-    kernel, bit-identical and much faster). With all
-    prefetchers off the run loop dispatches through the hierarchy's
+    :meth:`run` walks the object model access by access; with all
+    prefetchers off it dispatches through the hierarchy's
     allocation-free :meth:`~repro.cache.hierarchy.CacheHierarchy.access_fast`
     instead of the per-access protocol (results are identical either
     way; ``tests/cache/test_kernel.py`` pins the two access by access).
+    :meth:`run_packed` and :meth:`run_dynamic` replay compiled packs on
+    the levels' flat state, bit-identical to :meth:`run`.
     """
 
-    def __init__(self, hierarchy=None, prefetchers_on=True, backend="object"):
-        self.hierarchy = hierarchy or CacheHierarchy(backend=backend)
+    def __init__(self, hierarchy=None, prefetchers_on=True):
+        self.hierarchy = hierarchy or CacheHierarchy()
         self.hierarchy.set_prefetchers(enabled=prefetchers_on)
 
     def run(self, workloads, total_accesses=100_000):
@@ -265,7 +266,8 @@ class TraceEngine:
         :meth:`run` whenever neither driver applies: prefetchers on, a
         non-compilable trace factory, a write-bearing pack, two
         workloads on one core, or a hierarchy the lean walk cannot
-        replay (non-kernel backend, dirty state, other inner geometry).
+        replay (dirty or prefetched state left by :meth:`run`, other
+        inner geometry).
         """
         if not workloads:
             raise ValidationError("need at least one workload")
@@ -340,8 +342,8 @@ class TraceEngine:
         replay = _build_replay(hierarchy, workloads, cores, packs)
         if replay is None:
             raise ValidationError(
-                "run_dynamic needs the lean kernel replay (kernel "
-                "backend, 8-way inner levels, clean dirty/prefetch state)"
+                "run_dynamic needs the lean kernel replay (8-way inner "
+                "levels, clean dirty/prefetch state)"
             )
 
         period_s = controller.period_s
@@ -415,8 +417,7 @@ class TraceEngine:
 
 
 def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
-                      total_accesses=120_000, prefetchers_on=False,
-                      backend="kernel"):
+                      total_accesses=120_000, prefetchers_on=False):
     """Foreground latency/miss-ratio alone, shared, and partitioned.
 
     The address-level version of the paper's core experiment. Prefetchers
@@ -424,13 +425,13 @@ def measure_isolation(fg_workload, bg_workload, fg_mask=None, bg_mask=None,
     budget and the measurement becomes a warm-up study rather than a
     partitioning one. Each pass is a :meth:`TraceEngine.run_packed`
     co-run (bit-identical to :meth:`TraceEngine.run`, which it falls
-    back to on the ``"object"`` backend or with prefetchers on); the
-    measured pass replays on the state the warm-up pass left in place.
+    back to with prefetchers on); the measured pass replays on the
+    state the warm-up pass left in place.
     """
     from repro.cache.llc import WayMask
 
     def fresh_engine(masks=None):
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        engine = TraceEngine(prefetchers_on=prefetchers_on)
         if masks:
             for core, mask in masks.items():
                 engine.hierarchy.set_way_mask(core, mask)
@@ -483,12 +484,11 @@ class RosterCell:
     total_accesses: int = 100_000
 
 
-def _run_roster_sequential(cells, prefetchers_on, backend, pack_cache,
-                           pack_store):
+def _run_roster_sequential(cells, prefetchers_on, pack_cache, pack_store):
     """The reference path: one fresh engine + ``run_packed`` per cell."""
     results = []
     for cell in cells:
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        engine = TraceEngine(prefetchers_on=prefetchers_on)
         if cell.masks:
             for core, mask in cell.masks.items():
                 engine.hierarchy.set_way_mask(core, mask)
@@ -501,9 +501,8 @@ def _run_roster_sequential(cells, prefetchers_on, backend, pack_cache,
     return results
 
 
-def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
-                      threads=None, pack_cache=None, pack_store=True,
-                      sequential=False):
+def run_packed_roster(cells, prefetchers_on=False, threads=None,
+                      pack_cache=None, pack_store=True, sequential=False):
     """Replay a roster of independent co-runs in ONE native call.
 
     Each :class:`RosterCell` gets its own fresh hierarchy state (the
@@ -518,7 +517,7 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
     (which is exactly what the fallback does whenever a cell is not
     batchable: prefetchers on, non-compilable traces, writing traces,
     shared cores, or no native kernel). ``sequential=True`` forces that
-    reference path, which the bench harness times as the baseline.
+    reference path.
 
     Shared traces dedupe through the pack cache, so R allocations of a
     way sweep replay one memmapped TracePack, not R copies.
@@ -534,7 +533,7 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
 
     def fallback():
         return _run_roster_sequential(
-            cells, prefetchers_on, backend, pack_cache, pack_store
+            cells, prefetchers_on, pack_cache, pack_store
         )
 
     if sequential or prefetchers_on:
@@ -549,7 +548,7 @@ def run_packed_roster(cells, prefetchers_on=False, backend="kernel",
 
     from repro.cache.kernel import build_native_batch_replay
 
-    template = TraceEngine(prefetchers_on=False, backend=backend)
+    template = TraceEngine(prefetchers_on=False)
     h = template.hierarchy
     columns = _llc_columns(h.llc.storage)
     core_of = h.core_of_tid
@@ -610,12 +609,12 @@ class DynamicRosterCell:
     total_accesses: int = 100_000
 
 
-def _run_dynamic_roster_sequential(cells, prefetchers_on, backend,
-                                   pack_cache, pack_store):
+def _run_dynamic_roster_sequential(cells, prefetchers_on, pack_cache,
+                                   pack_store):
     """The reference path: one fresh engine + ``run_dynamic`` per cell."""
     results = []
     for cell in cells:
-        engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+        engine = TraceEngine(prefetchers_on=prefetchers_on)
         results.append(engine.run_dynamic(
             cell.workloads,
             cell.controller,
@@ -627,9 +626,8 @@ def _run_dynamic_roster_sequential(cells, prefetchers_on, backend,
     return results
 
 
-def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
-                       threads=None, pack_cache=None, pack_store=True,
-                       sequential=False):
+def run_dynamic_roster(cells, prefetchers_on=False, threads=None,
+                       pack_cache=None, pack_store=True, sequential=False):
     """Run a roster of dynamic-partitioning co-runs, batched.
 
     Every :class:`DynamicRosterCell` gets its own fresh hierarchy state
@@ -651,7 +649,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
     :class:`TraceEngine` via :meth:`TraceEngine.run_dynamic` (which is
     exactly what the fallback does whenever a cell is not batchable or
     the epoch-batch kernel is unavailable). ``sequential=True`` forces
-    that reference path, which the bench harness times as the baseline.
+    that reference path.
     """
     if not cells:
         return []
@@ -668,7 +666,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
 
     def fallback():
         return _run_dynamic_roster_sequential(
-            cells, prefetchers_on, backend, pack_cache, pack_store
+            cells, prefetchers_on, pack_cache, pack_store
         )
 
     if sequential or prefetchers_on:
@@ -691,7 +689,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
     from repro.cache.kernel import build_native_epoch_batch_replay
     from repro.core.dynamic import mpki_windows
 
-    template = TraceEngine(prefetchers_on=False, backend=backend)
+    template = TraceEngine(prefetchers_on=False)
     h = template.hierarchy
     columns = _llc_columns(h.llc.storage)
     core_of = h.core_of_tid
@@ -796,7 +794,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, backend="kernel",
 
 
 def way_allocation_sweep(workloads, total_accesses=100_000, prefetchers_on=False,
-                         backend="kernel", warmup_accesses=0, use_packs=True):
+                         warmup_accesses=0, use_packs=True):
     """Per-domain ``hits(ways)`` utility curves from ONE co-run.
 
     Attaches a :class:`~repro.cache.profile.WayProfiler` (a per-domain
@@ -815,10 +813,9 @@ def way_allocation_sweep(workloads, total_accesses=100_000, prefetchers_on=False
     ``use_packs=False`` forces the generator path (the CLI's
     ``--no-pack`` escape hatch).
     """
-    from repro.cache.indexing import HashedIndex
     from repro.cache.profile import WayProfiler
 
-    engine = TraceEngine(prefetchers_on=prefetchers_on, backend=backend)
+    engine = TraceEngine(prefetchers_on=prefetchers_on)
     llc = engine.hierarchy.llc.storage
     run = engine.run_packed if use_packs else engine.run
     if warmup_accesses:
@@ -826,7 +823,7 @@ def way_allocation_sweep(workloads, total_accesses=100_000, prefetchers_on=False
     profiler = WayProfiler(
         num_sets=llc.num_sets,
         num_ways=llc.num_ways,
-        indexing="hash" if isinstance(llc._indexer, HashedIndex) else "mod",
+        indexing=llc.indexing,
         num_domains=engine.hierarchy.num_cores,
     )
     engine.hierarchy.llc_profiler = profiler

@@ -91,7 +91,6 @@ class TestProfiledSweep:
             [spec.fg, spec.bg],
             total_accesses=ACCESSES,
             prefetchers_on=False,
-            backend="kernel",
             use_packs=True,
         )
         fg_curve = curves[spec.fg.tid // 2]

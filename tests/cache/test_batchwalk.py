@@ -231,7 +231,7 @@ class TestBatchedRoster:
         )
         (batched,) = run_packed_roster([cell])
 
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         for core, mask in _split_masks(fg_ways).items():
             engine.hierarchy.set_way_mask(core, mask)
         direct = engine.run_packed(_pair(), total_accesses=4_000)
@@ -241,7 +241,7 @@ class TestBatchedRoster:
         cells = [RosterCell(workloads=_pair(), total_accesses=2_000)]
         with_pf = run_packed_roster(cells, prefetchers_on=True)
 
-        engine = TraceEngine(prefetchers_on=True, backend="kernel")
+        engine = TraceEngine(prefetchers_on=True)
         direct = engine.run_packed(_pair(), total_accesses=2_000)
         assert with_pf[0] == direct
 

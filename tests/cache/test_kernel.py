@@ -1,27 +1,41 @@
-"""The flat-array kernel is bit-identical to the object cache model.
+"""Kernel-form levels hand their state to the object model and back
+without a trace.
 
-Every test drives the two backends through the same operation sequence
-and compares them after EVERY step — return values, stats, occupancy,
-and resident lines — across replacement policies, indexing schemes, and
-way masks, then at hierarchy level with prefetchers on and off.
+:class:`KernelCacheLevel` holds state only; the object model is the one
+per-access protocol. Each lockstep test drives an object-model level and
+a twin through the same operation stream, comparing them after EVERY
+step — return values, stats, occupancy, and resident lines — while the
+twin goes object -> flat -> object at random clean points, across
+replacement policies, indexing schemes, and way masks. Then the forms'
+readers and conversion counters, and hierarchy-level walks that convert
+their levels lazily.
 """
 
 import pytest
 
 from repro.cache.block import MemoryAccess
+from repro.cache.cache import CacheLevel
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.kernel import KernelCacheLevel, make_cache_level
+from repro.cache.kernel import (
+    KernelCacheLevel,
+    _flat_encodable,
+    _to_kernel,
+    make_cache_level,
+)
 from repro.cache.llc import WayMask
+from repro.perf import engine_counters as ec
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.rng import DeterministicRng
 
 
 def level_pair(replacement, indexing, num_ways=8, num_sets=16):
+    """An object-model level and its twin, which starts in the flat
+    form wherever one exists."""
     capacity = num_sets * num_ways * 64
     kwargs = dict(replacement=replacement, indexing=indexing)
     return (
-        make_cache_level("object", "ref", capacity, num_ways, **kwargs),
-        make_cache_level("kernel", "ker", capacity, num_ways, **kwargs),
+        CacheLevel("ref", capacity, num_ways, **kwargs),
+        make_cache_level("twin", capacity, num_ways, **kwargs),
     )
 
 
@@ -42,36 +56,61 @@ def evicted_key(evicted):
     return (evicted.tag, evicted.valid, evicted.dirty, evicted.sharers)
 
 
-def run_locked_step(ref, ker, rng, masks, step):
-    """One pseudo-random op applied to both backends, compared exactly."""
+def run_locked_step(ref, twin, rng, masks, step):
+    """One pseudo-random op applied to both levels, compared exactly."""
     op = rng.integers(0, 10)
     line = rng.integers(0, 400)
     domain = rng.integers(0, 2)
     is_write = rng.integers(0, 4) == 0
     allowed = masks[domain] if masks else None
     if op <= 4:  # probe (the most common op)
-        assert ref.access(line, is_write, domain=domain) == ker.access(
+        assert ref.access(line, is_write, domain=domain) == twin.access(
             line, is_write, domain=domain
         ), f"step {step}: hit/miss diverged on line {line}"
         if not ref.contains(line):
             a = ref.fill(line, is_write=is_write, domain=domain,
                          allowed_ways=allowed, sharer=domain)
-            b = ker.fill(line, is_write=is_write, domain=domain,
-                         allowed_ways=allowed, sharer=domain)
+            b = twin.fill(line, is_write=is_write, domain=domain,
+                          allowed_ways=allowed, sharer=domain)
             assert evicted_key(a) == evicted_key(b), f"step {step}: victims differ"
     elif op <= 6:  # prefetch-style fill
         a = ref.fill(line, domain=domain, allowed_ways=allowed, prefetch=True)
-        b = ker.fill(line, domain=domain, allowed_ways=allowed, prefetch=True)
+        b = twin.fill(line, domain=domain, allowed_ways=allowed, prefetch=True)
         assert evicted_key(a) == evicted_key(b)
     elif op == 7:
-        assert ref.invalidate(line) == ker.invalidate(line)
+        assert ref.invalidate(line) == twin.invalidate(line)
     elif op == 8:
-        assert ref.mark_dirty(line) == ker.mark_dirty(line)
+        assert ref.mark_dirty(line) == twin.mark_dirty(line)
     else:
         ref.add_sharer(line, domain)
-        ker.add_sharer(line, domain)
-        assert ref.sharers_of(line) == ker.sharers_of(line)
-    assert state_of(ref) == state_of(ker), f"step {step}: state diverged"
+        twin.add_sharer(line, domain)
+        assert ref.sharers_of(line) == twin.sharers_of(line)
+    assert state_of(ref) == state_of(twin), f"step {step}: state diverged"
+
+
+def hand_over(ref, twin, rng):
+    """Reach a clean point — invalidate every dirty or prefetched line
+    on both levels — then send the twin to the flat form (sometimes on
+    to lists); its next op brings it back to the object model."""
+    for line in sorted(ref.resident_lines()):
+        set_idx, way = ref.find(line)
+        cl = ref._sets[set_idx][way]
+        if cl.dirty or cl.prefetched:
+            assert ref.invalidate(line) == twin.invalidate(line)
+    assert _flat_encodable(twin, inner=False)
+    _to_kernel(twin)
+    assert type(twin) is KernelCacheLevel
+    if rng.integers(0, 2):
+        twin._lookup  # flat -> lists
+    assert state_of(ref) == state_of(twin)
+
+
+def run_with_hand_overs(ref, twin, rng, masks, steps):
+    for step in range(steps):
+        run_locked_step(ref, twin, rng, masks, step)
+        if rng.integers(0, 40) == 0:
+            hand_over(ref, twin, rng)
+    assert type(twin) is CacheLevel
 
 
 @pytest.mark.parametrize("replacement", ["lru", "plru"])
@@ -79,15 +118,14 @@ def run_locked_step(ref, ker, rng, masks, step):
 @pytest.mark.parametrize("masked", [False, True])
 class TestStepwiseIdentity:
     def test_locked_step_sequence(self, replacement, indexing, masked):
-        ref, ker = level_pair(replacement, indexing)
+        ref, twin = level_pair(replacement, indexing)
         masks = {0: [0, 1, 2, 3, 4], 1: [4, 5, 6, 7]} if masked else None
         rng = DeterministicRng(seed=1234)
-        for step in range(1500):
-            run_locked_step(ref, ker, rng, masks, step)
+        run_with_hand_overs(ref, twin, rng, masks, 1500)
 
     def test_mask_reallocation_mid_sequence(self, replacement, indexing, masked):
         """Masks change between bursts; no flush, still bit-identical."""
-        ref, ker = level_pair(replacement, indexing)
+        ref, twin = level_pair(replacement, indexing)
         schedules = [
             {0: [0, 1, 2], 1: [3, 4, 5, 6, 7]},
             {0: [0, 1, 2, 3, 4, 5], 1: [6, 7]},
@@ -95,17 +133,17 @@ class TestStepwiseIdentity:
         ]
         rng = DeterministicRng(seed=99)
         for masks in schedules if masked else [None] * 3:
-            for step in range(400):
-                run_locked_step(ref, ker, rng, masks, step)
+            run_with_hand_overs(ref, twin, rng, masks, 400)
+            hand_over(ref, twin, rng)  # every reallocation on the flat form
 
 
 class TestVictimErrors:
-    """The kernel replicates the object policies' error behaviour."""
+    """The object policies' victim errors, on a level of either start."""
 
     @pytest.mark.parametrize("replacement", ["lru", "plru"])
     def test_empty_allowed_ways_rejected(self, replacement):
-        ref, ker = level_pair(replacement, "mod", num_ways=4, num_sets=4)
-        for level in (ref, ker):
+        ref, twin = level_pair(replacement, "mod", num_ways=4, num_sets=4)
+        for level in (ref, twin):
             for line in range(4 * 4 * 2):  # fill everything
                 if not level.access(line):
                     level.fill(line)
@@ -113,13 +151,13 @@ class TestVictimErrors:
                 level.fill(10_000, allowed_ways=[])
 
     def test_out_of_range_allowed_ways_rejected_lru(self):
-        ref, ker = level_pair("lru", "mod", num_ways=4, num_sets=4)
-        for level in (ref, ker):
-            for line in range(64):
+        ref, twin = level_pair("lru", "mod")
+        for level in (ref, twin):
+            for line in range(16 * 8):
                 if not level.access(line):
                     level.fill(line)
-        with pytest.raises(ValidationError):
-            ker.fill(10_000, allowed_ways=[9])
+            with pytest.raises(ValidationError):
+                level.fill(10_000, allowed_ways=[9])
 
     def test_unknown_policy_and_indexing_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -128,22 +166,39 @@ class TestVictimErrors:
             KernelCacheLevel("bad", 64 * 64, 4, indexing="skew")
         with pytest.raises(ConfigurationError):
             KernelCacheLevel("bad", 1000, 4)  # non-divisible geometry
-
-    def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_cache_level("numpy", "x", 64 * 64, 4)
-        with pytest.raises(ConfigurationError):
-            make_cache_level("seed", "x", 64 * 64, 4)
+            KernelCacheLevel("bad", 64 * 64, 4)  # 4-way LRU: no flat form
 
 
-def tiny_hierarchy(backend):
+def tiny_hierarchy():
     return CacheHierarchy(
         num_cores=2,
         l1_bytes=2 * 1024,
         l2_bytes=8 * 1024,
         llc_bytes=48 * 1024,
-        backend=backend,
     )
+
+
+def object_hierarchy():
+    """A tiny hierarchy whose levels are object-model levels from the
+    start, built directly rather than converted."""
+    h = tiny_hierarchy()
+    h.l1 = [
+        CacheLevel(lvl.name, lvl.capacity_bytes, lvl.num_ways,
+                   replacement="lru")
+        for lvl in h.l1
+    ]
+    h.l2 = [
+        CacheLevel(lvl.name, lvl.capacity_bytes, lvl.num_ways,
+                   replacement="plru")
+        for lvl in h.l2
+    ]
+    llc = h.llc.storage
+    h.llc.storage = CacheLevel(
+        "LLC", llc.capacity_bytes, llc.num_ways, replacement="plru",
+        indexing="hash",
+    )
+    return h
 
 
 def hierarchy_state(h):
@@ -177,30 +232,37 @@ def mixed_stream(n=4000, seed=5):
 
 
 class TestHierarchyIdentity:
+    """A fresh hierarchy converts each level to the object model on its
+    first use, mid-walk; it walks exactly like object levels built
+    directly."""
+
     @pytest.mark.parametrize("prefetchers", [False, True])
     def test_full_protocol_stepwise(self, prefetchers):
         """access() walks agree step by step, prefetchers on and off."""
-        ref = tiny_hierarchy("object")
-        ker = tiny_hierarchy("kernel")
-        for h in (ref, ker):
+        ref = object_hierarchy()
+        lazy = tiny_hierarchy()
+        for h in (ref, lazy):
             h.set_prefetchers(enabled=prefetchers)
             h.set_way_mask(0, WayMask.contiguous(9, 0))
             h.set_way_mask(1, WayMask.contiguous(3, 9))
         for i, acc in enumerate(mixed_stream()):
             a = ref.access(acc)
-            b = ker.access(acc)
+            b = lazy.access(acc)
             assert (a.hit_level, a.latency, a.llc_victim_line) == (
                 b.hit_level,
                 b.latency,
                 b.llc_victim_line,
             ), f"access {i} diverged"
-        assert hierarchy_state(ref) == hierarchy_state(ker)
+        assert hierarchy_state(ref) == hierarchy_state(lazy)
 
-    @pytest.mark.parametrize("backend", ["object", "kernel"])
-    def test_access_fast_matches_object_protocol(self, backend):
-        """access_fast on either backend == the object model's access()."""
-        ref = tiny_hierarchy("object")
-        fast = tiny_hierarchy(backend)
+    @pytest.mark.parametrize(
+        "kernel_form", [False, True], ids=["object", "kernel"]
+    )
+    def test_access_fast_matches_object_protocol(self, kernel_form):
+        """access_fast on a hierarchy of object levels, or on a fresh
+        one in the kernel form, == the object model's access()."""
+        ref = object_hierarchy()
+        fast = tiny_hierarchy() if kernel_form else object_hierarchy()
         for h in (ref, fast):
             h.set_prefetchers(enabled=False)
             h.set_way_mask(0, WayMask.contiguous(5, 0))
@@ -216,12 +278,32 @@ class TestHierarchyIdentity:
 
     def test_run_trace_batched_totals_match(self):
         stream = mixed_stream(n=3000, seed=8)
-        totals = {}
-        for backend in ("object", "kernel"):
-            h = tiny_hierarchy(backend)
+        totals = []
+        for h in (object_hierarchy(), tiny_hierarchy()):
             h.set_prefetchers(enabled=False)
-            totals[backend] = h.run_trace(stream)
-        assert totals["object"] == totals["kernel"]
+            totals.append(h.run_trace(stream))
+        assert totals[0] == totals[1]
+
+    def test_walk_converts_each_level_once(self):
+        """A per-access walk on a fresh hierarchy raises
+        ``level-materializations`` by exactly one per converted level,
+        and every other level stays flat."""
+        h = tiny_hierarchy()
+        h.set_prefetchers(enabled=False)
+        levels = [h.llc.storage, *h.l1, *h.l2]
+        base = ec.engine_counters().snapshot()
+        h.access_fast(5, False, 0)  # core 0: L1, L2 and the LLC
+        delta = ec.engine_counters().delta(base)
+        assert delta[ec.LEVEL_MATERIALIZATIONS] == 3
+        assert [type(lvl) for lvl in levels] == [
+            CacheLevel, CacheLevel, KernelCacheLevel, CacheLevel,
+            KernelCacheLevel,
+        ]
+        h.run_trace(mixed_stream(n=2000, seed=3))
+        converted = sum(type(lvl) is CacheLevel for lvl in levels)
+        delta = ec.engine_counters().delta(base)
+        assert delta[ec.LEVEL_MATERIALIZATIONS] == converted
+        assert [h.llc.storage, *h.l1, *h.l2] == levels  # same objects
 
 
 def _lru8_brute_force():
@@ -260,51 +342,58 @@ class TestLru8Tables:
         for i in (0, 1, 777, 40319):
             assert [perms[i].index(w) for w in range(8)] == pos[i].tolist()
 
-    def test_stamp_round_trip_keeps_recency_order(self):
-        from repro.cache.kernel import _states_to_stamps, _stamps_to_states
-
-        states = [0, 5, 40319, 12345]
-        stamps = _states_to_stamps(states, clock=100)
-        assert _stamps_to_states(stamps).tolist() == states
-
 
 class TestLevelForms:
-    """A kernel level starts flat and builds lists on first read."""
+    """A kernel level starts flat, builds lists on the first list read,
+    and becomes the object model on the first per-access use."""
 
     def test_fresh_level_is_flat_until_read(self):
-        from repro.perf import engine_counters as ec
-
-        ref, ker = level_pair("plru", "hash", num_ways=12)
-        assert ker._flat is not None and "_lookup" not in vars(ker)
+        ref, twin = level_pair("plru", "hash", num_ways=12)
+        assert twin._flat is not None and "_lookup" not in vars(twin)
         # Introspection reads the flat form without converting it.
-        assert state_of(ker) == state_of(ref)
-        assert ker._flat is not None
+        assert state_of(twin) == state_of(ref)
+        assert twin._flat is not None
         base = ec.engine_counters().snapshot()
-        assert not ker.contains(5)  # a probe builds the lists
-        assert ker._flat is None and "_lookup" in vars(ker)
-        assert ec.engine_counters().delta(base)[ec.LEVEL_MATERIALIZATIONS] == 1
+        assert twin._lookup == [{}] * twin.num_sets  # a list read
+        assert twin._flat is None and type(twin) is KernelCacheLevel
+        assert not twin.contains(5)  # a probe becomes the object model
+        assert type(twin) is CacheLevel and "_flat" not in vars(twin)
+        assert ec.engine_counters().delta(base)[ec.LEVEL_MATERIALIZATIONS] == 2
 
-    def test_non_8_way_lru_stays_in_list_form(self):
-        _, ker = level_pair("lru", "mod", num_ways=4)
-        assert ker._flat is None and not ker._flattenable()
+    def test_non_8_way_lru_is_an_object_level(self):
+        _, twin = level_pair("lru", "mod", num_ways=4)
+        assert type(twin) is CacheLevel
 
     @pytest.mark.parametrize("replacement", ["lru", "plru"])
     def test_form_round_trips_are_invisible(self, replacement):
-        ref, ker = level_pair(replacement, "mod")
+        ref, twin = level_pair(replacement, "mod")
         rng = DeterministicRng(seed=9)
         for step in range(600):
             line = rng.integers(0, 400)
-            for lvl in (ref, ker):
+            for lvl in (ref, twin):
                 if not lvl.access(line, domain=0):
                     lvl.fill(line, domain=0, sharer=1)
             if step % 97 == 0:
-                ker.flat_state()  # lists -> flat; the next probe rebuilds
-                assert "_lookup" not in vars(ker)
-            assert state_of(ref) == state_of(ker), f"step {step}"
-        for s in range(ker.num_sets):
-            assert ref._policies[s].victim(None) == ker._victim(s, None)
+                _to_kernel(twin)  # object -> flat
+                assert state_of(ref) == state_of(twin)
+                twin._lookup  # flat -> lists
+                assert state_of(ref) == state_of(twin)
+                twin.flat_state()  # lists -> flat; the next probe converts
+                assert "_lookup" not in vars(twin)
+            assert state_of(ref) == state_of(twin), f"step {step}"
+        for s in range(twin.num_sets):
+            assert ref._policies[s].victim(None) == (
+                twin._policies[s].victim(None)
+            )
 
     def test_dirty_level_declines_the_flat_form(self):
-        _, ker = level_pair("plru", "mod")
-        ker.fill(3, is_write=True)
-        assert not ker._flattenable()
+        ref, _ = level_pair("plru", "mod")
+        ref.fill(3, is_write=True)
+        assert not _flat_encodable(ref, inner=False)
+        ref.invalidate(3)
+        ref.fill(4, prefetch=True)
+        assert not _flat_encodable(ref, inner=False)
+        ref.invalidate(4)
+        ref.fill(5, sharer=1)
+        assert _flat_encodable(ref, inner=False)
+        assert not _flat_encodable(ref, inner=True)

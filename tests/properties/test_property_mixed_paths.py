@@ -1,13 +1,14 @@
 """Property: one hierarchy survives any chain of replay paths.
 
-Every step of a random chain runs on the same kernel-backed hierarchy:
-the generic ``run()`` walk (list-form levels), a native ``run_packed``
-(flat-form levels, updated in place), the pure-Python epoch driver
-(``REPRO_NATIVE=0``), a way-mask change, or one ``run_dynamic`` epoch.
-The same chain runs on the object model. Each hand-over between the two
-level forms must be invisible: every step's stats agree, and at the end
-so do the level stats, resident lines, per-way occupancy, LLC sharer
-words and the next victim of every set.
+Every step of a random chain runs on the same hierarchy: the generic
+``run()`` walk (object-model levels), a native ``run_packed`` (flat-form
+levels, updated in place), the pure-Python epoch driver
+(``REPRO_NATIVE=0``, list-form levels), a way-mask change, or one
+``run_dynamic`` epoch. A second hierarchy runs the same chain through
+``run()`` alone. Each hand-over between level forms must be invisible:
+every step's stats agree, and at the end so do the level stats, resident
+lines, per-way occupancy, LLC sharer words and the next victim of every
+set.
 """
 
 import os
@@ -50,13 +51,12 @@ def _without_native(fn):
         native.reset()
 
 
-def _engine(backend):
+def _engine():
     hierarchy = CacheHierarchy(
         num_cores=4,
         l1_bytes=4 * KB,
         l2_bytes=16 * KB,
         llc_bytes=96 * KB,
-        backend=backend,
     )
     return TraceEngine(hierarchy=hierarchy, prefetchers_on=False)
 
@@ -146,14 +146,18 @@ def _step(step, ker, ref, workloads, packs, data):
     ps = [packs[i] for i in chosen]
     if step == "run":
         got = ker.run(ws, total)
-    elif step == "native":
-        base = ec.engine_counters().snapshot()
-        got = ker.run_packed(ws, total, packs=ps)
-        if _native_available():
-            delta = ec.engine_counters().delta(base)
-            assert delta.get(ec.PYTHON_REPLAYS, 0) == 0
     else:
-        got = _without_native(lambda: ker.run_packed(ws, total, packs=ps))
+        # Both pack steps must be served by a pack driver, never by a
+        # fallback to run().
+        base = ec.engine_counters().snapshot()
+        if step == "native":
+            got = ker.run_packed(ws, total, packs=ps)
+        else:
+            got = _without_native(lambda: ker.run_packed(ws, total, packs=ps))
+        delta = ec.engine_counters().delta(base)
+        assert delta.get(ec.PACK_REPLAYS, 0) == len(ws)
+        if step == "native" and _native_available():
+            assert delta.get(ec.PYTHON_REPLAYS, 0) == 0
     assert got == ref.run(ws, total)
 
 
@@ -171,13 +175,14 @@ class TestMixedReplayPaths:
                       pack_key(w.trace_factory()))
             for w in workloads
         ]
-        ker = _engine("kernel")
-        ref = _engine("object")
+        ker = _engine()
+        ref = _engine()
         for step in steps:
             _step(step, ker, ref, workloads, packs, data)
         kh, rh = ker.hierarchy, ref.hierarchy
         assert _level_state(kh) == _level_state(rh)
         assert _llc_sharers(kh) == _llc_sharers(rh)
-        assert _next_victims(kh, lambda lvl, s, c: lvl._victim(s, c)) == (
-            _next_victims(rh, lambda lvl, s, c: lvl._policies[s].victim(c))
-        )
+        def victim(lvl, s, c):
+            return lvl._policies[s].victim(c)
+
+        assert _next_victims(kh, victim) == _next_victims(rh, victim)

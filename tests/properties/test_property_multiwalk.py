@@ -69,7 +69,7 @@ def _run(workloads, packs, total, packed=True, profiled=False):
     ways_split = {
         1: (12,), 2: (9, 3), 3: (6, 3, 3), 4: (6, 2, 2, 2),
     }[len(workloads)]
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     start = 0
     for i, ways in enumerate(ways_split):
         core = engine.hierarchy.core_of_tid(_TIDS[i])

@@ -87,7 +87,7 @@ def _workloads(n=3, length=5_000, repeats=None, thinks=None):
 
 
 def _engine(n=3):
-    engine = TraceEngine(prefetchers_on=False, backend="kernel")
+    engine = TraceEngine(prefetchers_on=False)
     start = 0
     for i, ways in enumerate(_PARTITIONS[n]):
         core = engine.hierarchy.core_of_tid(_TIDS[i])
@@ -116,7 +116,7 @@ def _packs(workloads):
 def _build_replay(builder, engine, workloads, packs, plain=False):
     h = engine.hierarchy
     llc = h.llc.storage
-    indexing = "mod" if llc._mod_mask >= 0 else "hash"
+    indexing = llc.indexing
     if plain:
         lines = [p.lines_list() for p in packs]
         sets = [p.sets_list(llc.num_sets, indexing) for p in packs]
@@ -337,7 +337,7 @@ class TestRunDynamic:
         ]
 
     def _run(self):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         controller = DynamicPartitionController("fg", "bg")
         result = engine.run_dynamic(
             self._workloads(),
@@ -375,7 +375,7 @@ class TestRunDynamic:
             assert bin(fg_bits).count("1") == entry["fg_ways"]
 
     def test_rejects_epoch_smaller_than_one(self):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         with pytest.raises(ValidationError):
             engine.run_dynamic(
                 self._workloads(),
@@ -384,7 +384,7 @@ class TestRunDynamic:
             )
 
     def test_rejects_mismatched_controller_names(self):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         with pytest.raises(ValidationError):
             engine.run_dynamic(
                 self._workloads(),
@@ -394,7 +394,7 @@ class TestRunDynamic:
             )
 
     def test_rejects_prefetching_engine(self):
-        engine = TraceEngine(prefetchers_on=True, backend="kernel")
+        engine = TraceEngine(prefetchers_on=True)
         with pytest.raises(ValidationError):
             engine.run_dynamic(
                 self._workloads(),
@@ -408,7 +408,7 @@ class TestRunDynamic:
                       pack_key(w.trace_factory()))
             for w in workloads
         ]
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         result = engine.run_dynamic(
             workloads,
             DynamicPartitionController("fg", "bg"),

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.block import MemoryAccess
 from repro.cache.llc import WayMask
+from repro.perf import engine_counters as ec
 from repro.sim.trace_engine import TraceEngine, TraceWorkload, measure_isolation
 from repro.util.errors import ValidationError
 from repro.util.units import KB, MB
@@ -155,9 +156,10 @@ class TestIsolationMeasurement:
         assert out["partitioned"]["miss_ratio"] < out["shared"]["miss_ratio"] * 0.5
         assert out["partitioned"]["avg_latency"] < out["shared"]["avg_latency"] * 0.8
 
-    def test_kernel_default_matches_object_model(self):
-        """The kernel default (packed warm-then-measure on one
-        hierarchy) returns exactly the object model's dicts."""
+    def test_kernel_default_matches_object_model(self, monkeypatch):
+        """The packed warm-then-measure passes on one kernel-form
+        hierarchy return exactly the dicts the object model's run()
+        gives for the same passes."""
         fg = TraceWorkload(
             "fg",
             lambda: ZipfTrace(6_000, 1 * MB, alpha=0.9, tid=0, seed=7),
@@ -176,7 +178,13 @@ class TestIsolationMeasurement:
             total_accesses=15_000,
         )
         kernel = measure_isolation(fg, bg, **kwargs)
-        assert measure_isolation(fg, bg, backend="object", **kwargs) == kernel
+        monkeypatch.setattr(
+            TraceEngine, "run_packed",
+            lambda self, workloads, total_accesses: self.run(
+                workloads, total_accesses
+            ),
+        )
+        assert measure_isolation(fg, bg, **kwargs) == kernel
 
     def test_same_core_rejected(self):
         with pytest.raises(ValidationError):
@@ -195,7 +203,7 @@ class TestRunPacked:
 
     @staticmethod
     def _engine(partition=True):
-        engine = TraceEngine(prefetchers_on=False, backend="kernel")
+        engine = TraceEngine(prefetchers_on=False)
         if partition:
             engine.hierarchy.set_way_mask(0, WayMask.contiguous(9, 0))
             engine.hierarchy.set_way_mask(2, WayMask.contiguous(3, 9))
@@ -341,15 +349,13 @@ class TestRunPacked:
 
     @staticmethod
     def _llc_profiler(engine, **overrides):
-        from repro.cache.indexing import HashedIndex
         from repro.cache.profile import WayProfiler
 
         llc = engine.hierarchy.llc.storage
         geometry = dict(
             num_sets=llc.num_sets,
             num_ways=llc.num_ways,
-            indexing="hash" if isinstance(llc._indexer, HashedIndex)
-            else "mod",
+            indexing=llc.indexing,
             num_domains=engine.hierarchy.num_cores,
         )
         geometry.update(overrides)
@@ -433,3 +439,59 @@ class TestRunPacked:
         pack = tracepack.get_pack(workloads[0].trace_factory())
         assert pack.writes_list() is not None
         self._assert_identical(workloads, 14_000)
+
+    @pytest.mark.parametrize("native_on", [True, False])
+    def test_run_packed_run_chain_on_one_hierarchy(self, native_on):
+        """run() turns the levels it walks into the object model; the
+        next run_packed hands them back to the flat form and is served
+        by a pack driver; a last run() converts them again. The chain
+        equals three run() calls on a second hierarchy."""
+        from repro.cache.cache import CacheLevel
+
+        workloads = self._pair_workloads(length=5_000)
+        engine = self._engine()
+        reference = self._engine()
+        chain = []
+        for step in ("run", "run_packed", "run"):
+            base = ec.engine_counters().snapshot()
+            stats = _with_native(
+                native_on,
+                lambda: getattr(engine, step)(workloads, total_accesses=6_000),
+            )
+            delta = ec.engine_counters().delta(base)
+            if step == "run_packed":
+                assert delta.get(ec.PACK_REPLAYS, 0) == len(workloads)
+                assert not any(
+                    isinstance(lvl, CacheLevel) for lvl in _levels(engine)
+                )
+            else:
+                assert isinstance(engine.hierarchy.llc.storage, CacheLevel)
+            chain.append(self._signature(engine, stats))
+            assert chain[-1] == self._signature(
+                reference, reference.run(workloads, total_accesses=6_000)
+            )
+
+    def test_declined_replay_converts_nothing(self):
+        """A dirty L1 left by a write declines the pack replay before
+        any level is converted, and run_packed falls back to run()."""
+        from repro.cache.cache import CacheLevel
+        from repro.cache.kernel import _epoch_replay_supported
+
+        engine, reference = self._engine(), self._engine()
+        for e in (engine, reference):
+            e.hierarchy.access(MemoryAccess(address=0x4000, is_write=True))
+        before = [type(lvl) for lvl in _levels(engine)]
+        assert before.count(CacheLevel) == 3  # core 0's L1, L2 and the LLC
+        assert not _epoch_replay_supported(engine.hierarchy, [0, 2])
+        assert [type(lvl) for lvl in _levels(engine)] == before
+        base = ec.engine_counters().snapshot()
+        workloads = self._pair_workloads(length=2_000)
+        assert self._signature(
+            engine, engine.run_packed(workloads, 3_000)
+        ) == self._signature(reference, reference.run(workloads, 3_000))
+        assert ec.engine_counters().delta(base).get(ec.PACK_REPLAYS, 0) == 0
+
+
+def _levels(engine):
+    h = engine.hierarchy
+    return [h.llc.storage, *h.l1, *h.l2]
