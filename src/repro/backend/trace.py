@@ -314,7 +314,7 @@ class TraceBackend(SimBackend):
         Runs as a one-cell dynamic roster through the batched epoch
         kernel (:func:`~repro.sim.trace_engine.run_dynamic_roster`),
         which falls back to the sequential ``run_dynamic`` driver —
-        bit-identical either way — when the epoch-batch kernel is
+        bit-identical either way — when the batch kernel is
         unavailable or the cell is not batchable.
         """
         from repro.sim.trace_engine import run_dynamic_roster
@@ -442,7 +442,7 @@ class TraceBackend(SimBackend):
     def dynamic_group(self, group, controller=None):
         """N-tenant epoch-resumable replay under a dynamic controller
         (the Algorithm 6.2 controller with peers, or a churn schedule),
-        through the flush-free mask hand-off of the epoch-batch kernel.
+        through the flush-free mask hand-off of the batch kernel.
         """
         if len(group.tenants) == 2 and controller is None:
             return SimBackend.dynamic_group(self, group, controller=None)

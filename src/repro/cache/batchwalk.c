@@ -1,17 +1,30 @@
-/* Batched replay: one call, R independent replays, parallel inside C.
+/* Batched replay: one call, many independent replays, parallel inside C.
  *
- * Two entry points share one worker pool:
+ * This translation unit is the whole native library: it #includes
+ * multiwalk.c, so `repro_multi_walk` (one resumable co-run) is exported
+ * from the same object as the two batched entry points, which share
+ * one worker pool:
  *
- *   repro_batch_walk     R independent multiwalk cells (whole co-runs or
- *                        the allocations of a measured way sweep).  Every
- *                        cell owns a contiguous bank of the full flat
- *                        state multiwalk.c operates on (LLC tags/sharers/
+ *   repro_batch_walk     advances the cells named in a caller-owned
+ *                        active list `[count, idx0, idx1, ...]` of a
+ *                        roster of independent multiwalk cells (whole
+ *                        co-runs, the allocations of a measured way
+ *                        sweep, or dynamic-partitioning cells between
+ *                        two controller steps), each up to its own
+ *                        cfg[CFG_STOP] target.  Every cell owns a
+ *                        contiguous bank of the full flat state
+ *                        multiwalk.c operates on (LLC tags/sharers/
  *                        valid/PLRU, all-core L1/L2 tags + recency, dom,
  *                        cfg, bi, sched), laid out cell-major with
  *                        uniform strides, so cell r's replay is
  *                        `repro_multi_walk` over `base + r * stride`
  *                        slices — bit-identical to calling the epoch
- *                        kernel once per cell, in any thread order.
+ *                        kernel once per cell, in any thread order.  All
+ *                        walk state stays in the caller's banks between
+ *                        calls: a static roster names every cell once,
+ *                        a dynamic roster calls again per epoch after
+ *                        rewriting dom way-mask words flush-free and
+ *                        raising the stop targets.
  *
  *   repro_batch_profile  R UMON profiling streams (one per domain) over
  *                        shared trace columns: the bounded stack-distance
@@ -24,16 +37,16 @@
  *                        the Python caller — is invariant to both the
  *                        shard count and the thread schedule.
  *
- * Threading is compile-time selected: OpenMP when the loader's
- * `-fopenmp` probe succeeds, else a pthread worker loop
- * (-DREPRO_BATCH_PTHREADS), else the serial batched loop.  All three
- * paths write results only into caller-owned per-item output slots
- * (each cell's own dom/sched/histogram bank), never into shared
- * accumulators, so the reduction order is deterministic and the output
- * is thread-count-invariant by construction.  `repro_batch_threading`
- * reports which path was compiled in (2 = OpenMP, 1 = pthreads,
- * 0 = serial) so `kernel_status` tells the truth about the object that
- * actually loaded, not the flags that were requested.
+ * Threading is compile-time selected: the loader builds this file with
+ * `-fopenmp` first, then a pthread worker loop (-DREPRO_BATCH_PTHREADS),
+ * then the serial batched loop, and keeps the strongest build that
+ * compiles.  All three paths write results only into caller-owned
+ * per-item output slots (each cell's own dom/sched/histogram bank),
+ * never into shared accumulators, so the reduction order is
+ * deterministic and the output is thread-count-invariant by
+ * construction.  `repro_batch_threading` reports which path was
+ * compiled in (2 = OpenMP, 1 = pthreads, 0 = serial), so the loader
+ * reports the object that actually loaded, not the flags it asked for.
  */
 
 #include "multiwalk.c"
@@ -129,6 +142,7 @@ enum {
 };
 
 typedef struct {
+    const i64 *active;             /* [count, cell indices...] */
     const i64 *cfg;                /* R x CFG_SLOTS */
     i64 *dom;                      /* R x n_max x DOM_STRIDE */
     const i64 *const *lines;       /* R x n_max column pointers */
@@ -146,12 +160,12 @@ typedef struct {
 } WalkBatch;
 
 /* Build the batch view over the caller-owned banks.  The cell strides
- * are pure functions of bcfg, so every entry point that shares the
- * cell-major layout (repro_batch_walk, epochbatch.c's
- * repro_epoch_batch) sees exactly the same per-cell slices. */
+ * are pure functions of bcfg, so every call sees exactly the same
+ * per-cell slices. */
 static WalkBatch
 make_walk_batch(
     const i64 *bcfg,
+    const i64 *active,
     const i64 *cfg,
     i64 *dom,
     const i64 *const *lines, const i64 *const *sets,
@@ -171,6 +185,7 @@ make_walk_batch(
     i64 l2_sets = bcfg[B_L2_SETS];
     i64 num_cores = bcfg[B_NUM_CORES];
     WalkBatch B = {
+        active,
         cfg, dom, lines, sets,
         llc_tags, llc_sharers, llc_valid, llc_plru,
         pset, pclr, pleft, pright,
@@ -187,10 +202,12 @@ make_walk_batch(
     return B;
 }
 
+/* Work item `it` replays active cell active[1 + it]. */
 static void
-walk_cell(void *arg, i64 r)
+walk_cell(void *arg, i64 it)
 {
     const WalkBatch *B = (const WalkBatch *)arg;
+    i64 r = B->active[1 + it];
     repro_multi_walk(
         B->cfg + r * CFG_SLOTS,
         B->dom + r * B->dom_stride,
@@ -211,6 +228,7 @@ walk_cell(void *arg, i64 r)
 i64
 repro_batch_walk(
     const i64 *bcfg,
+    const i64 *active,
     const i64 *cfg,
     i64 *dom,
     const i64 *const *lines, const i64 *const *sets,
@@ -225,26 +243,27 @@ repro_batch_walk(
 {
     i64 R = bcfg[B_CELLS];
     i64 threads = bcfg[B_THREADS];
-    if (R < 1)
+    i64 count = active[0];
+    if (R < 1 || count < 1)
         return 0;
     if (threads < 1)
         threads = 1;
-    if (threads > R)
-        threads = R;
+    if (threads > count)
+        threads = count;
 
     WalkBatch B = make_walk_batch(
-        bcfg, cfg, dom, lines, sets,
+        bcfg, active, cfg, dom, lines, sets,
         llc_tags, llc_sharers, llc_valid, llc_plru,
         pset, pclr, pleft, pright,
         l1_touch, l1_fill, l2_touch, l2_fill,
         l1_tags, l1_valid, l1_state,
         l2_tags, l2_valid, l2_plru,
         bi, sched);
-    run_items(&B, walk_cell, R, threads);
+    run_items(&B, walk_cell, count, threads);
 
     i64 issued = 0;
-    for (i64 r = 0; r < R; r++)
-        issued += sched[r * SCHED_SLOTS + SCHED_ISSUED];
+    for (i64 k = 0; k < count; k++)
+        issued += sched[active[1 + k] * SCHED_SLOTS + SCHED_ISSUED];
     return issued;
 }
 

@@ -8,8 +8,8 @@ hits, fills, victims and invalidation. A kernel level holds its state in
 exactly one of two forms:
 
 - **flat** (where every level starts): int64 numpy arrays in the
-  layout the native kernels (``multiwalk.c``, ``batchwalk.c``,
-  ``epochbatch.c``) read and write — ``tags[set * ways + way]`` (-1 when
+  layout the native kernels (``multiwalk.c`` and ``batchwalk.c``, which
+  includes it) read and write — ``tags[set * ways + way]`` (-1 when
   invalid), per-set valid bitmasks, one recency word per set (the PLRU
   tree bits, or the 8-way LRU permutation-FSM state), and sharer words
   (``None`` while all zero). A native replay works on these buffers in
@@ -1378,18 +1378,31 @@ def build_native_epoch_replay(hierarchy, cores, thinks, lines, sets,
 
 
 class NativeBatchReplay:
-    """One-call batched replay over the compiled ``batchwalk.c`` kernel.
+    """Batched replay over the compiled ``batchwalk.c`` kernel.
 
     Holds R independent replay cells — the allocations of a way sweep,
-    or a roster of unrelated co-runs — as contiguous per-cell banks of
-    the same flat state :class:`NativeEpochReplay` uses: the template
-    hierarchy's flat level buffers are tiled R times, so every cell
-    starts from an identical copy, no cell can observe another, and the
-    template itself is never written. :meth:`run` is a single ``ctypes`` call; the kernel threads
-    over cells but each writes only its own dom/sched bank, so the
-    per-cell ``(counters, vtimes)`` read back afterwards are
-    bit-identical to running :class:`NativeEpochReplay` once per cell,
-    for any thread count.
+    a roster of unrelated co-runs, or a roster of dynamic-partitioning
+    cells — as contiguous per-cell banks of the same flat state
+    :class:`NativeEpochReplay` uses: the template hierarchy's flat level
+    buffers are tiled R times, so every cell starts from an identical
+    copy, no cell can observe another, and the template itself is never
+    written.
+
+    :meth:`run_active` is ONE ctypes call that advances only the named
+    cells, each to its own per-cell stop target (:meth:`set_stop`), and
+    returns with every cell's walk state — LLC and inner-cache tags and
+    recency, per-domain counters, cursors, virtual times, scheduler
+    frontiers — resting in the Python-owned banks. Between calls the
+    host may read the banked counters (:meth:`counter_bank`, a
+    zero-copy view sliced for vectorized MPKI windows), run each cell's
+    controller decision, and rewrite that cell's dom way-mask words
+    flush-free (:meth:`set_mask_bits`) — the batched generalization of
+    ``NativeEpochReplay``'s ``run_epoch`` + ``refresh_masks`` loop.
+    :meth:`run` is the one-shot form: every cell to its stop in one
+    call. The kernel threads over cells but each work item writes only
+    its own cell's banks, so the per-cell ``(counters, vtimes)`` read
+    back are bit-identical to the sequential epoch driver for any
+    thread count and any active-set schedule.
 
     Unlike the epoch driver there is no ``finish()``: batch cells are
     throwaway measurements, never a hierarchy the caller keeps
@@ -1495,15 +1508,17 @@ class NativeBatchReplay:
 
         bi = np.zeros(R * 2 * num_cores, dtype=i64)
         sched = np.zeros(R, dtype=i64)
+        active = np.zeros(R + 1, dtype=i64)
         bcfg = np.array(
             [R, threads, n_max, llc.num_sets, llc.num_ways,
              l1_sets, l2_sets, num_cores],
             dtype=i64,
         )
         self._cfg, self._dom, self._sched = cfg, dom, sched
+        self._active = active
 
         arrays = (
-            bcfg, cfg, dom, line_ptrs, set_ptrs,
+            bcfg, active, cfg, dom, line_ptrs, set_ptrs,
             g_tags, g_sharers, g_valid, g_plru,
             pset, pclr, pleft, pright,
             l1_touch, l1_fill, l2_touch, l2_fill,
@@ -1529,86 +1544,6 @@ class NativeBatchReplay:
             ))
             vtimes.append(int(dom[base + _D_VTIME]))
         return tuple(counts), tuple(vtimes)
-
-    def run(self):
-        """One ctypes call; returns ``[(counts, vtimes), ...]`` per cell."""
-        self._fn(*self._args)
-        return [self.cell_result(r) for r in range(len(self._cells))]
-
-    @property
-    def issued(self):
-        return int(self._sched.sum())
-
-
-def _batch_cells_supported(hierarchy, cells):
-    """Shared preconditions of the batched builders (one bank layout;
-    the batched kernels feed no profiler)."""
-    if hierarchy.llc_profiler is not None:
-        return False
-    for cell in cells:
-        cores = cell["cores"]
-        if not cores or len(cores) > 16:
-            return False
-        if not _epoch_replay_supported(hierarchy, cores):
-            return False
-    return _native_layout_supported(hierarchy)
-
-
-def build_native_batch_replay(hierarchy, cells, threads=None):
-    """Batched driver over ``batchwalk.c``, or ``None`` when any cell
-    fails the epoch-replay preconditions or the kernel is unavailable.
-
-    ``cells`` is a list of dicts with keys ``cores``, ``thinks``,
-    ``lines``, ``sets``, ``lengths``, ``repeats``, ``stop`` and
-    optionally ``mask_bits`` (per-slot LLC way-mask words; defaults to
-    the hierarchy's current masks). ``threads`` follows
-    :func:`repro.cache.native.resolve_native_threads` — invalid
-    ``REPRO_NATIVE_THREADS`` values raise, they never silently fall
-    back.
-    """
-    if not cells or not _batch_cells_supported(hierarchy, cells):
-        return None
-
-    from repro.cache import native
-
-    fn = native.batch_walk_fn()
-    if fn is None:
-        return None
-    threads = native.resolve_native_threads(len(cells), threads)
-    return NativeBatchReplay(hierarchy, cells, threads, fn)
-
-
-class NativeEpochBatchReplay(NativeBatchReplay):
-    """Epoch-resumable batched driver over ``epochbatch.c``.
-
-    The same per-cell state banks as :class:`NativeBatchReplay`, kept
-    alive between calls: :meth:`run_active` is ONE ctypes call that
-    advances only the named cells, each to its own per-cell stop target
-    (:meth:`set_stop`), and returns with every cell's walk state — LLC
-    and inner-cache tags and recency, per-domain counters, cursors,
-    virtual times, scheduler frontiers — resting in the Python-owned
-    banks. Between calls the host reads the banked counters
-    (:meth:`counter_bank`, a zero-copy view sliced for vectorized MPKI
-    windows), runs each cell's controller decision, and rewrites that
-    cell's dom way-mask words flush-free (:meth:`set_mask_bits`) — the
-    batched generalization of ``NativeEpochReplay``'s ``run_epoch`` +
-    ``refresh_masks`` loop. Each work item writes only its own cell's
-    banks, so the replay is bit-identical to the sequential epoch
-    driver for any thread count and any active-set schedule.
-    """
-
-    def __init__(self, hierarchy, cells, threads, fn):
-        import ctypes
-
-        import numpy as np
-
-        super().__init__(hierarchy, cells, threads, fn)
-        active = np.zeros(len(cells) + 1, dtype=np.int64)
-        self._active = active
-        self._keep = (*self._keep, active)
-        args = list(self._args)
-        args.insert(1, ctypes.c_void_p(active.ctypes.data))
-        self._args = args
 
     def issued_of(self, r):
         """Cell ``r``'s scheduler frontier (total issued accesses)."""
@@ -1641,29 +1576,55 @@ class NativeEpochBatchReplay(NativeBatchReplay):
         a[1:1 + n] = active_cells
         self._fn(*self._args)
 
+    def run(self):
+        """Every cell to its stop in one ctypes call; returns
+        ``[(counts, vtimes), ...]`` per cell."""
+        cells = range(len(self._cells))
+        self.run_active(cells)
+        return [self.cell_result(r) for r in cells]
 
-def build_native_epoch_batch_replay(hierarchy, cells, threads=None):
-    """Batched epoch driver over ``epochbatch.c``, or ``None`` when any
-    cell fails the epoch-replay preconditions or the kernel is
-    unavailable.
+    @property
+    def issued(self):
+        return int(self._sched.sum())
 
-    ``cells`` carries the same keys as
-    :func:`build_native_batch_replay`; ``stop`` is the first epoch
-    target (0 means nothing runs until the host raises it via
-    ``set_stop``). ``threads`` resolves like the one-shot batch driver;
-    each call's worker count further clamps to the active cell count
-    inside the kernel.
+
+def build_native_batch_replay(hierarchy, cells, threads=None):
+    """Batched driver over ``batchwalk.c``, or ``None`` when any cell
+    fails the epoch-replay preconditions or the kernel is unavailable.
+
+    ``cells`` is a list of dicts with keys ``cores``, ``thinks``,
+    ``lines``, ``sets``, ``lengths``, ``repeats``, ``stop`` (the cell's
+    issue target until ``set_stop`` moves it) and optionally
+    ``mask_bits`` (per-slot LLC way-mask words; defaults to the
+    hierarchy's current masks). ``threads`` follows
+    :func:`repro.cache.native.resolve_native_threads` — invalid
+    ``REPRO_NATIVE_THREADS`` values raise, they never silently fall
+    back; each call's worker count further clamps to the active cell
+    count inside the kernel.
     """
-    if not cells or not _batch_cells_supported(hierarchy, cells):
+    if not cells or hierarchy.llc_profiler is not None:
+        return None  # the batched kernel feeds no profiler
+    for cell in cells:
+        cores = cell["cores"]
+        if not cores or len(cores) > 16:
+            return None
+        if not _epoch_replay_supported(hierarchy, cores):
+            return None
+    if not _native_layout_supported(hierarchy):
         return None
 
     from repro.cache import native
 
-    fn = native.epoch_batch_fn()
+    fn = native.batch_walk_fn()
     if fn is None:
         return None
     threads = native.resolve_native_threads(len(cells), threads)
-    return NativeEpochBatchReplay(hierarchy, cells, threads, fn)
+    return NativeBatchReplay(hierarchy, cells, threads, fn)
+
+
+# The dynamic roster's builder name, kept for perfbench/tracing.py,
+# which resolves it: one builder serves static and dynamic rosters.
+build_native_epoch_batch_replay = build_native_batch_replay
 
 
 def make_cache_level(

@@ -33,9 +33,11 @@
  * builder only hands them over when the profiler's set index is the
  * LLC's, so the pack's set column indexes the stacks directly.
  *
- * Conventions shared with kernel.KernelCacheLevel:
+ * Conventions shared with kernel.FlatLevelState (tags, valid, rec,
+ * sharers; lean replays keep no dirty state):
  *   - tags[set * ways + way] holds the line number, -1 when invalid;
- *   - valid/dirty are per-set bitmasks (lean replay: dirty stays 0);
+ *   - valid is a per-set bitmask of the occupied ways;
+ *   - sharers[set * ways + way] is the LLC line's core bitmask;
  *   - L1 recency is the 40320-state 8-way LRU permutation FSM
  *     (l1_touch / l1_fill tables from kernel._lru8_tables);
  *   - L2 and LLC recency are PLRU bit-trees; the 8-way L2 uses full
@@ -94,10 +96,11 @@ typedef struct {
     i64 h1, h2, h3, m3, e1, e2, e3;
 } Core;
 
-/* KernelCacheLevel.invalidate: drop the line if present (clears the
- * valid bit and tombstones the tag; recency state is left alone).
- * Returns 1 when the line was resident so the caller can count the
- * back-invalidation, mirroring the membership-checked Python calls. */
+/* Inner back-invalidation, the lean walk's `dropper` (and
+ * CacheLevel.invalidate in the object model): drop the line if present
+ * (clears the valid bit and tombstones the tag; recency state is left
+ * alone).  Returns 1 when the line was resident so the caller can count
+ * the back-invalidation, mirroring the membership-checked Python calls. */
 static inline int
 inval8(i64 *tags, i64 *valid, i64 tag)
 {

@@ -1,11 +1,12 @@
-"""On-demand compilation of the native pack-replay kernels.
+"""On-demand compilation of the native pack-replay library.
 
-``multiwalk.c`` (the fused N-domain, epoch-resumable lean replay
-loop), ``batchwalk.c`` (the batched, multi-threaded driver that replays
-a whole roster of independent cells in one call) and ``epochbatch.c``
-(the batched driver made epoch-resumable: one threaded call advances
-every *active* cell by one epoch, host-side controller logic in
-between) live next to this module. Each is compiled once per (source
+One translation unit, ``batchwalk.c``, is the whole native kernel
+family: it ``#include``s ``multiwalk.c`` (the fused N-domain,
+epoch-resumable lean replay loop) and adds the batched driver that
+advances a roster of independent cells — every cell of a static roster
+or way sweep in one call, or the still-active cells of a dynamic roster
+one epoch per call — plus the set-sharded UMON profiler. Both files
+live next to this module. The library is compiled once per (source
 revision, flag set) with whatever ``cc``/``gcc`` the host offers,
 cached as a shared object under the trace-pack cache directory, and
 loaded with :mod:`ctypes`. Everything is best-effort: no compiler, a
@@ -14,15 +15,16 @@ accessors return ``None`` and callers stay on the pure-Python epoch
 driver — results are bit-identical either way, the native kernels are
 only faster.
 
-"Best-effort" no longer means "silent": the first failure per kernel is
-recorded and :func:`kernel_status` reports it, so ``repro trace-sweep
+"Best-effort" does not mean "silent": the first failure is recorded
+and :func:`kernel_status` reports it, so ``repro trace-sweep
 --engine-stat`` (via ``format_engine_stat``) can answer "why is native
-off?" without strace archaeology. The same policy covers threading:
-``batchwalk`` is built with ``-fopenmp`` only after a tiny ``#pragma
-omp`` translation unit compiles and links, falling back to a pthread
-worker loop and finally to the serial batched loop, and
-:func:`threading_status` records which mode won and why the stronger
-ones lost.
+off?" without strace archaeology. The same policy covers threading: the
+real source is compiled strongest mode first — ``-fopenmp``, then a
+pthread worker loop, then the serial batched loop — and the first
+diagnostic of every stronger build that failed is stored beside the
+object that was kept, so a later process that loads the cached object
+(without starting a compiler) still says why. :func:`threading_status`
+reads the mode from the loaded object's own ``repro_batch_threading()``.
 """
 
 import ctypes
@@ -36,64 +38,36 @@ _ENV_GATE = "REPRO_NATIVE"
 _ENV_THREADS = "REPRO_NATIVE_THREADS"
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
-# kernel name -> (C source next to this module, exported symbols)
-_KERNELS = {
-    "multiwalk": ("multiwalk.c", ("repro_multi_walk",)),
-    "batchwalk": (
-        "batchwalk.c",
-        ("repro_batch_walk", "repro_batch_profile", "repro_batch_threading"),
-    ),
-    "epochbatch": (
-        "epochbatch.c",
-        ("repro_epoch_batch", "repro_batch_threading"),
-    ),
-}
+# The library's name, its translation unit followed by every source it
+# textually #includes (all of them fold into the cache key), and its
+# exported symbols.
+_LIBRARY = "batchwalk"
+_SOURCES = ("batchwalk.c", "multiwalk.c")
+_SYMBOLS = (
+    "repro_multi_walk",
+    "repro_batch_walk",
+    "repro_batch_profile",
+    "repro_batch_threading",
+)
 
-# kernel name -> sources it textually #includes: folded into the cache
-# digest so an edit to an included file rebuilds the including object.
-_INCLUDED = {
-    "batchwalk": ("multiwalk.c",),
-    "epochbatch": ("batchwalk.c", "multiwalk.c"),
-}
+# Threading modes, strongest first: (name, compile flags).
+_MODES = (
+    ("openmp", ("-fopenmp",)),
+    ("pthreads", ("-pthread", "-DREPRO_BATCH_PTHREADS")),
+    ("serial", ()),
+)
+# repro_batch_threading() -> mode name.
+_COMPILED_MODES = {2: "openmp", 1: "pthreads", 0: "serial"}
 
-# Kernels built on batchwalk.c's run_items worker pool: compiled with
-# the probed threading flags, annotated with their mode in kernel_status.
-_THREADED_KERNELS = ("batchwalk", "epochbatch")
-
-# Tri-state memo per kernel: absent -> not tried, None -> unavailable,
-# else {symbol: ctypes function}. Per-process, like the kernel's table
-# memos.
-_LOADED = {}
-# kernel name -> human-readable reason it is unavailable (recorded once,
-# on the first failed load attempt).
-_REASONS = {}
-# Memoized threading probe result, or None when not yet probed.
-_THREADING = None
+_UNTRIED = object()
+# Tri-state per-process memo, like the kernel's table memos:
+# _UNTRIED -> not tried, None -> unavailable, else {symbol: function}.
+_FNS = _UNTRIED
+# Why the library is unavailable, or why the loaded object is not the
+# strongest threading mode (None when it is).
+_REASON = None
 
 _NO_COMPILER = "no C compiler found ($CC, cc, gcc, clang)"
-
-_OMP_PROBE_TU = """\
-#include <omp.h>
-int repro_omp_probe(void) {
-    int n = 0;
-#pragma omp parallel for
-    for (int i = 0; i < 4; i++)
-        n += omp_get_thread_num();
-    return n;
-}
-"""
-
-_PTHREAD_PROBE_TU = """\
-#include <pthread.h>
-static void *repro_noop(void *arg) { return arg; }
-int repro_pthread_probe(void) {
-    pthread_t t;
-    if (pthread_create(&t, 0, repro_noop, 0) != 0)
-        return 1;
-    pthread_join(t, 0);
-    return 0;
-}
-"""
 
 
 def enabled():
@@ -119,159 +93,119 @@ def _compiler():
     return None
 
 
-def _probe_compile(cc, flags, source):
-    """Compile a throwaway TU with ``flags``; ``None`` on success, else
-    the first diagnostic line."""
-    tmpdir = tempfile.mkdtemp(prefix="repro-probe-")
-    try:
-        tu = os.path.join(tmpdir, "probe.c")
-        out = os.path.join(tmpdir, "probe.so")
-        with open(tu, "w", encoding="utf-8") as fh:
-            fh.write(source)
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", *flags, "-o", out, tu],
-            capture_output=True,
-            timeout=60,
-        )
-        if proc.returncode == 0:
-            return None
-        stderr = proc.stderr.decode("utf-8", "replace").strip()
-        return stderr.splitlines()[0] if stderr else "no diagnostics"
-    except (OSError, subprocess.SubprocessError) as exc:
-        return str(exc)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+def _compile(cc, flags, target, reason):
+    """Compile the library with ``flags`` into ``target``; ``None`` on
+    success, else the first diagnostic line.
 
-
-def _threading_probe():
-    """Pick batchwalk's threading flags: ``{"flags", "mode", "reason"}``.
-
-    ``mode`` is ``"openmp"`` / ``"pthreads"`` / ``"serial"``; ``reason``
-    says why a stronger mode lost (``None`` when OpenMP won). Memoized:
-    the probe compiles up to two throwaway TUs, once per process.
+    ``reason`` (why a stronger mode lost, or ``None``) is written beside
+    the object before the object itself appears, so any process that
+    finds the object also finds why it is not a stronger one.
     """
-    global _THREADING
-    if _THREADING is not None:
-        return _THREADING
-    cc = _compiler()
-    if cc is None:
-        _THREADING = {"flags": (), "mode": "serial", "reason": _NO_COMPILER}
-        return _THREADING
-    omp_fail = _probe_compile(cc, ("-fopenmp",), _OMP_PROBE_TU)
-    if omp_fail is None:
-        _THREADING = {"flags": ("-fopenmp",), "mode": "openmp",
-                      "reason": None}
-        return _THREADING
-    pthread_fail = _probe_compile(cc, ("-pthread",), _PTHREAD_PROBE_TU)
-    if pthread_fail is None:
-        _THREADING = {
-            "flags": ("-pthread", "-DREPRO_BATCH_PTHREADS"),
-            "mode": "pthreads",
-            "reason": f"openmp probe failed: {omp_fail}",
-        }
-        return _THREADING
-    _THREADING = {
-        "flags": (),
-        "mode": "serial",
-        "reason": (
-            f"openmp probe failed: {omp_fail}; "
-            f"pthread probe failed: {pthread_fail}"
-        ),
-    }
-    return _THREADING
-
-
-def _kernel_flags(name):
-    """Extra compile flags for one kernel (probed, for batched ones)."""
-    if name in _THREADED_KERNELS:
-        return tuple(_threading_probe()["flags"])
-    return ()
-
-
-def _build_library(name):
-    """Compile ``<name>.c`` -> cached .so; returns ``(path, reason)``.
-
-    Exactly one of the pair is ``None``: a path on success, else the
-    human-readable reason the kernel is unavailable. The cache digest
-    covers both the source bytes and the chosen flags, so an OpenMP
-    build and a serial fallback build never collide.
-    """
-    filename, _ = _KERNELS[name]
-    flags = _kernel_flags(name)
-    source_path = os.path.join(_HERE, filename)
-    try:
-        with open(source_path, "rb") as fh:
-            source = fh.read()
-    except OSError as exc:
-        return None, f"source unreadable: {exc}"
-    hasher = hashlib.sha256(source)
-    for flag in flags:
-        hasher.update(flag.encode("utf-8"))
-    for included in _INCLUDED.get(name, ()):
-        try:
-            with open(os.path.join(_HERE, included), "rb") as fh:
-                hasher.update(fh.read())
-        except OSError as exc:
-            return None, f"source unreadable: {exc}"
-    digest = hasher.hexdigest()[:16]
-    cache = _cache_dir()
-    target = os.path.join(cache, f"{name}-{digest}.so")
-    if os.path.exists(target):
-        return target, None
-    cc = _compiler()
-    if cc is None:
-        return None, _NO_COMPILER
+    cache = os.path.dirname(target)
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", *flags, "-o", tmp, source_path],
+            [cc, "-O2", "-shared", "-fPIC", *flags, "-o", tmp,
+             os.path.join(_HERE, _SOURCES[0])],
             capture_output=True,
             timeout=120,
         )
         if proc.returncode != 0:
             os.unlink(tmp)
             stderr = proc.stderr.decode("utf-8", "replace").strip()
-            first = stderr.splitlines()[0] if stderr else "no diagnostics"
-            return None, f"{cc} failed: {first}"
+            return stderr.splitlines()[0] if stderr else "no diagnostics"
+        if reason:
+            fd, note = tempfile.mkstemp(suffix=".reason", dir=cache)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(reason)
+            os.replace(note, target + ".reason")
         os.replace(tmp, target)  # atomic: concurrent builders converge
-        return target, None
+        return None
     except (OSError, subprocess.SubprocessError) as exc:
-        return None, f"compile error: {exc}"
+        return str(exc)
 
 
-def _load(name):
-    """Tri-state load of one kernel; records the failure reason once."""
-    if name in _LOADED:
-        return _LOADED[name]
+def _stored_reason(target):
+    try:
+        with open(target + ".reason", encoding="utf-8") as fh:
+            return fh.read().strip() or None
+    except OSError:
+        return None
+
+
+def _build_library():
+    """Find or compile the library; returns ``(path, reason)``.
+
+    With a path, ``reason`` says why a stronger threading mode lost
+    (``None`` when OpenMP won); without one, why the library is
+    unavailable. The cache key covers every source byte and the mode's
+    flags, so an OpenMP object and a serial object never share a file.
+    A cached object is taken strongest mode first without starting any
+    compiler; only when none is cached are the modes compiled, strongest
+    first, keeping the first that builds.
+    """
+    hasher = hashlib.sha256()
+    for filename in _SOURCES:
+        try:
+            with open(os.path.join(_HERE, filename), "rb") as fh:
+                hasher.update(fh.read())
+        except OSError as exc:
+            return None, f"source unreadable: {exc}"
+    cache = _cache_dir()
+    targets = []
+    for _, flags in _MODES:
+        keyed = hasher.copy()
+        for flag in flags:
+            keyed.update(flag.encode("utf-8"))
+        targets.append(
+            os.path.join(cache, f"{_LIBRARY}-{keyed.hexdigest()[:16]}.so")
+        )
+    for target in targets:
+        if os.path.exists(target):
+            return target, _stored_reason(target)
+    cc = _compiler()
+    if cc is None:
+        return None, _NO_COMPILER
+    failures = []
+    for (mode, flags), target in zip(_MODES, targets):
+        reason = "; ".join(failures) or None
+        failure = _compile(cc, flags, target, reason)
+        if failure is None:
+            return target, reason
+        failures.append(f"{mode} build failed: {failure}")
+    return None, "; ".join(failures)
+
+
+def _load():
+    """Tri-state load of the library; records the reason once."""
+    global _FNS, _REASON
+    if _FNS is not _UNTRIED:
+        return _FNS
     fns = None
     if not enabled():
-        _REASONS[name] = (
-            f"disabled ({_ENV_GATE}={os.environ.get(_ENV_GATE)!r})"
-        )
+        reason = f"disabled ({_ENV_GATE}={os.environ.get(_ENV_GATE)!r})"
     else:
-        path, reason = _build_library(name)
-        if path is None:
-            _REASONS[name] = reason
-        else:
+        path, reason = _build_library()
+        if path is not None:
             try:
                 lib = ctypes.CDLL(path)
                 fns = {}
-                for symbol in _KERNELS[name][1]:
+                for symbol in _SYMBOLS:
                     fn = getattr(lib, symbol)
                     fn.restype = ctypes.c_int64
                     fns[symbol] = fn
             except (OSError, AttributeError) as exc:
                 fns = None
-                _REASONS[name] = f"load failed: {exc}"
-    _LOADED[name] = fns
+                reason = f"load failed: {exc}"
+    _FNS, _REASON = fns, reason
     return fns
 
 
-def _symbol(name, symbol):
-    fns = _load(name)
-    return None if fns is None else fns.get(symbol)
+def _symbol(symbol):
+    fns = _load()
+    return None if fns is None else fns[symbol]
 
 
 def multi_walk_fn():
@@ -281,18 +215,20 @@ def multi_walk_fn():
     ``cfg``/``dom``/``sched`` buffer layouts; the Python owner of those
     buffers is :func:`repro.cache.kernel.build_native_epoch_replay`.
     """
-    return _symbol("multiwalk", "repro_multi_walk")
+    return _symbol("repro_multi_walk")
 
 
 def batch_walk_fn():
     """The compiled ``repro_batch_walk`` entry point, or ``None``.
 
-    One call replays every cell of a roster / way sweep against
-    contiguous per-cell state banks; see batchwalk.c for the ``bcfg``
-    layout and :func:`repro.cache.kernel.build_native_batch_replay` for
-    the Python owner of the banks.
+    One call advances the cells named by its ``active`` index list, each
+    to its own per-cell ``cfg[CFG_STOP]`` target, against contiguous
+    per-cell state banks that persist between calls; see batchwalk.c
+    for the ``bcfg`` layout and
+    :func:`repro.cache.kernel.build_native_batch_replay` for the Python
+    owner of the banks.
     """
-    return _symbol("batchwalk", "repro_batch_walk")
+    return _symbol("repro_batch_walk")
 
 
 def batch_profile_fn():
@@ -301,54 +237,27 @@ def batch_profile_fn():
     Set-sharded UMON stack-distance profiling over pack columns; the
     Python caller is :func:`repro.cache.profile_np.profile_pack`.
     """
-    return _symbol("batchwalk", "repro_batch_profile")
+    return _symbol("repro_batch_profile")
 
 
-def epoch_batch_fn():
-    """The compiled ``repro_epoch_batch`` entry point, or ``None``.
+def threading_status():
+    """``{"mode": ..., "reason": ...}`` for the batched driver's threading.
 
-    Advances only the cells named by the ``active`` index list, each to
-    its own per-cell ``cfg[CFG_STOP]`` target, leaving all resumable
-    walk state in the caller-owned banks between calls; see
-    epochbatch.c for the argument list and
-    :func:`repro.cache.kernel.build_native_epoch_batch_replay` for the
-    Python owner of the banks.
+    ``mode`` is ``"openmp"``, ``"pthreads"`` or ``"serial"``, read from
+    the loaded object's own ``repro_batch_threading()``, so the answer
+    describes the code that will run, not the flags that were
+    requested. ``reason`` explains any fallback (``None`` when OpenMP
+    won cleanly); when the library is unavailable the mode is
+    ``"serial"`` and ``reason`` says why.
     """
-    return _symbol("epochbatch", "repro_epoch_batch")
-
-
-def threading_status(kernel="batchwalk"):
-    """``{"mode": ..., "reason": ...}`` for a batched kernel's threading.
-
-    ``mode`` is ``"openmp"``, ``"pthreads"`` or ``"serial"``; ``reason``
-    explains any fallback (``None`` when OpenMP won cleanly). When the
-    named kernel actually loaded, the compiled object's own
-    ``repro_batch_threading()`` report wins over the probe's prediction,
-    so the answer describes the code that will run, not the flags that
-    were requested. ``kernel`` may be any of the run_items-pool kernels
-    (``batchwalk``, ``epochbatch``).
-    """
-    if not enabled():
-        return {
-            "mode": "serial",
-            "reason": (
-                f"disabled ({_ENV_GATE}={os.environ.get(_ENV_GATE)!r})"
-            ),
-        }
-    probe = _threading_probe()
-    mode, reason = probe["mode"], probe["reason"]
-    fn = _symbol(kernel, "repro_batch_threading")
-    if fn is not None:
-        compiled = {2: "openmp", 1: "pthreads", 0: "serial"}.get(
-            int(fn()), "unknown"
-        )
-        if compiled != mode:
-            reason = (
-                f"probe chose {mode} but the compiled object reports "
-                f"{compiled}"
-            )
-            mode = compiled
-    return {"mode": mode, "reason": reason}
+    fns = _load()
+    if fns is None:
+        return {"mode": "serial", "reason": _REASON}
+    compiled = int(fns["repro_batch_threading"]())
+    return {
+        "mode": _COMPILED_MODES.get(compiled, "unknown"),
+        "reason": _REASON,
+    }
 
 
 def resolve_native_threads(allocations, threads=None):
@@ -379,36 +288,24 @@ def resolve_native_threads(allocations, threads=None):
 
 
 def kernel_status():
-    """``{kernel: "ok" | reason}`` for every native kernel.
+    """``{library: "ok [mode]" | reason}`` for the native library.
 
-    Forces a load attempt for kernels not yet tried, so the answer is
-    definitive — this backs the ``native-kernel`` lines in
+    Forces a load attempt when none was made yet, so the answer is
+    definitive — this backs the ``native-kernel`` line in
     ``format_engine_stat`` / ``repro trace-sweep --engine-stat``. The
-    batch kernel's "ok" carries its threading mode (and the probe
-    failure that forced a fallback), e.g. ``ok [openmp]`` or
-    ``ok [serial; openmp probe failed: ...]``.
+    "ok" carries the threading mode and the build failure that forced a
+    fallback, e.g. ``ok [openmp]`` or ``ok [serial; openmp build
+    failed: ...]``.
     """
-    status = {}
-    for name in _KERNELS:
-        if _load(name) is not None:
-            if name in _THREADED_KERNELS:
-                threading = threading_status(name)
-                if threading["reason"]:
-                    status[name] = (
-                        f"ok [{threading['mode']}; {threading['reason']}]"
-                    )
-                else:
-                    status[name] = f"ok [{threading['mode']}]"
-            else:
-                status[name] = "ok"
-        else:
-            status[name] = _REASONS.get(name, "unavailable")
-    return status
+    if _load() is None:
+        return {_LIBRARY: _REASON}
+    threading = threading_status()
+    detail = f"; {threading['reason']}" if threading["reason"] else ""
+    return {_LIBRARY: f"ok [{threading['mode']}{detail}]"}
 
 
 def reset():
-    """Forget the memoized libraries (tests toggle REPRO_NATIVE)."""
-    global _THREADING
-    _LOADED.clear()
-    _REASONS.clear()
-    _THREADING = None
+    """Forget the memoized library (tests toggle REPRO_NATIVE)."""
+    global _FNS, _REASON
+    _FNS = _UNTRIED
+    _REASON = None

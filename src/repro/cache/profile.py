@@ -185,16 +185,15 @@ class WaySweep:
         """Replay a single-domain trace; returns its WayCurve."""
         return self.run(trace_factory)[0]
 
-    def run_pack(self, pack, domains=None, use_native=True):
+    def run_pack(self, pack, domains=None):
         """Profile a compiled :class:`TracePack` on the vectorized fast
-        path; bit-identical to :meth:`run` over the same stream.
-        ``use_native`` forwards to :func:`profile_pack`: the batched C
-        profiler when available, identical histograms either way."""
+        path (the batched C profiler when available); bit-identical to
+        :meth:`run` over the same stream."""
         from repro.cache.profile_np import profile_pack
 
         return profile_pack(
             pack, self.num_sets, self.num_ways, self.indexing,
-            self.num_domains, domains=domains, use_native=use_native,
+            self.num_domains, domains=domains,
         )
 
 

@@ -80,16 +80,15 @@ def _profile_pack_native(pack, sets, domains, num_sets, num_ways,
 
 
 def profile_pack(pack, num_sets=LLC_NUM_SETS, num_ways=LLC_NUM_WAYS,
-                 indexing="hash", num_domains=1, domains=None,
-                 use_native=True):
+                 indexing="hash", num_domains=1, domains=None):
     """Profile one pack; returns ``{domain: WayCurve}``.
 
     ``domains`` optionally overrides the per-access domain column (an
     int array aligned with the pack); the default mirrors
     :class:`~repro.cache.profile.WaySweep`'s ``tid // 2`` mapping.
-    ``use_native`` (default) routes the stack updates through the
-    batched C profiler when it is available; histograms are identical
-    either way, the native pass is only faster.
+    The stack updates run in the batched C profiler when it is
+    available (``REPRO_NATIVE=0`` turns it off); histograms are
+    identical either way, the native pass is only faster.
     """
     if num_ways < 1:
         raise ConfigurationError("profiler needs at least one way")
@@ -110,17 +109,16 @@ def profile_pack(pack, num_sets=LLC_NUM_SETS, num_ways=LLC_NUM_WAYS,
             counts = np.bincount(domains, minlength=num_domains)
             for d in range(num_domains):
                 accesses[d] = int(counts[d])
-        if use_native:
-            native_hists = _profile_pack_native(
-                pack, sets, domains, num_sets, num_ways, num_domains
-            )
-            if native_hists is not None:
-                ec.add(ec.PROFILER_PASSES)
-                return {
-                    d: WayCurve(num_ways=num_ways, accesses=accesses[d],
-                                histogram=native_hists[d])
-                    for d in range(num_domains)
-                }
+        native_hists = _profile_pack_native(
+            pack, sets, domains, num_sets, num_ways, num_domains
+        )
+        if native_hists is not None:
+            ec.add(ec.PROFILER_PASSES)
+            return {
+                d: WayCurve(num_ways=num_ways, accesses=accesses[d],
+                            histogram=native_hists[d])
+                for d in range(num_domains)
+            }
         order = np.argsort(key, kind="stable")
         sorted_keys = key[order]
         lines = np.asarray(pack.line, dtype=np.int64)[order].tolist()
@@ -152,12 +150,3 @@ def profile_pack(pack, num_sets=LLC_NUM_SETS, num_ways=LLC_NUM_WAYS,
                     histogram=histograms[d])
         for d in range(num_domains)
     }
-
-
-def sweep_pack(trace, num_sets=LLC_NUM_SETS, num_ways=LLC_NUM_WAYS,
-               indexing="hash", cache=None, store=True):
-    """Compile/load the pack for ``trace`` and profile it (single domain)."""
-    from repro.workloads.tracepack import get_pack
-
-    pack = get_pack(trace, cache=cache, store=store)
-    return profile_pack(pack, num_sets, num_ways, indexing)[0]

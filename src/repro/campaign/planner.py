@@ -15,7 +15,7 @@ structure:
   entries *are* co-run measurements and replay is deterministic;
 - ``dynamic`` (epoch feedback loop) groups into **dynamic-roster**
   shards, each driven by :func:`repro.sim.trace_engine.run_dynamic_roster`
-  — one threaded epoch-batch C call per control period for the whole
+  — one threaded batch-kernel call per control period for the whole
   shard, controller decisions stepped host-side between calls;
 - N-tenant group cells batch too: fixed-split groups join **roster**
   shards (masks straight from their ``GroupSplit``), and ``cluster``
@@ -56,7 +56,7 @@ def shard_kind_for(cell):
 
     ``"roster"`` for fixed-split trace cells, ``"sweep"`` for trace
     ``biased`` (an 11-allocation measured-sweep roster per cell),
-    ``"dynamic"`` for trace ``dynamic`` (the epoch-batch kernel driving
+    ``"dynamic"`` for trace ``dynamic`` (the batch kernel driving
     a controller per cell), ``"grid"`` for analytical fixed splits.
     ``None`` means per-cell fallback over the exec pool.
     """

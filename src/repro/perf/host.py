@@ -3,12 +3,13 @@
 A perf number without its host context is unreviewable: the batch
 speedup depends on CPU count, the native gate, and the thread knobs.
 ``host_provenance`` captures the execution environment in plain data so
-every ``BENCH_*.json`` payload records where its numbers came from —
-including every ``REPRO_NATIVE*`` variable, the per-kernel
-compile/disable status, and the *resolved* worker/thread counts those
-knobs produce on this host, so "why was native off on that run?" and
-"how parallel was it actually?" are answerable from the artifact alone
-even when no ``REPRO_*`` variable was set.
+every perfbench result record says where its numbers came from —
+including every ``REPRO_NATIVE*`` variable, the native library's
+compile/disable status and threading mode, and the *resolved*
+worker/thread counts those knobs produce on this host, so "why was
+native off on that run?" and "how parallel was it actually?" are
+answerable from the artifact alone even when no ``REPRO_*`` variable
+was set.
 """
 
 import os
@@ -35,13 +36,6 @@ def host_provenance():
         "native_enabled": native.enabled(),
         "threading_mode": threading["mode"],
         "threading_reason": threading["reason"],
-        # Each run_items-pool kernel reports its own compiled mode: the
-        # epoch-batch object can lag or lead batchwalk's across partial
-        # cache rebuilds, and dynbatch numbers hinge on which mode ran.
-        "threading_by_kernel": {
-            name: native.threading_status(name)["mode"]
-            for name in ("batchwalk", "epochbatch")
-        },
         "kernel_status": dict(native.kernel_status()),
         # The *resolved* knobs, not just the raw env (which serializes
         # as {} when nothing is set): what a pool or a batched native

@@ -176,21 +176,18 @@ def format_engine_stat(counters=None):
     for event, value, note in rows:
         annotation = f"   # {note}" if note else ""
         lines.append(f"  {_fmt(value):>14}  {event}{annotation}")
-    # Native replay kernels are part of the measured system: report
-    # each as "ok" or the recorded reason it is off (no compiler,
+    # The native library is part of the measured system: report it as
+    # "ok" or the recorded reason it is off (no compiler,
     # REPRO_NATIVE=0, compile failure) so "why is native off?" is
     # answerable from the same block.
     from repro.cache import native
 
     lines.append("")
-    for name, status in sorted(native.kernel_status().items()):
+    for name, status in native.kernel_status().items():
         lines.append(f"  native-kernel/{name}: {status}")
     threading = native.threading_status()
     detail = f"; {threading['reason']}" if threading["reason"] else ""
     lines.append(f"  native-batch/threading: {threading['mode']}{detail}")
-    epoch = native.threading_status("epochbatch")
-    detail = f"; {epoch['reason']}" if epoch["reason"] else ""
-    lines.append(f"  native-epochbatch/threading: {epoch['mode']}{detail}")
     return "\n".join(lines)
 
 

@@ -501,6 +501,59 @@ def _run_roster_sequential(cells, prefetchers_on, pack_cache, pack_store):
     return results
 
 
+def _roster_batch(cells, bypass, threads, pack_cache, pack_store,
+                  masks_of):
+    """The batched rosters' shared preamble: ``(batch, cell_packs)``.
+
+    Rejects a cell without workloads, then gives one
+    :class:`~repro.cache.kernel.NativeBatchReplay` over every cell —
+    each starting from the template engine's fresh state, with per-slot
+    way-mask words ``masks_of(cell, cores, default_bits)`` (``None``
+    keeps the hierarchy's defaults) and its ``total_accesses`` as the
+    stop target — plus each cell's packs. Returns ``None`` when the
+    roster must take its sequential reference path: ``bypass`` is set,
+    a trace is not pack-compilable or writes, two workloads share a
+    core, ``masks_of`` declines a cell with ``False``, or the native
+    kernel is unavailable.
+    """
+    for cell in cells:
+        if not cell.workloads:
+            raise ValidationError("every roster cell needs workloads")
+    if bypass:
+        return None
+
+    from repro.cache.kernel import build_native_batch_replay
+
+    h = TraceEngine(prefetchers_on=False).hierarchy
+    columns = _llc_columns(h.llc.storage)
+    default_bits = h.llc._mask_bits
+    cell_packs = []
+    cell_dicts = []
+    for cell in cells:
+        cores = [h.core_of_tid(w.tid) for w in cell.workloads]
+        if len(set(cores)) != len(cores):
+            return None
+        mask_bits = masks_of(cell, cores, default_bits)
+        if mask_bits is False:
+            return None
+        packs = _acquire_packs(cell.workloads, None, pack_cache, pack_store)
+        if packs is None:
+            return None
+        cell_packs.append(packs)
+        cell_dicts.append({
+            "cores": cores,
+            "thinks": [w.think_cycles for w in cell.workloads],
+            "mask_bits": mask_bits,
+            "lines": [p.line for p in packs],
+            "sets": [p.set_column(*columns) for p in packs],
+            "lengths": [len(p.line) for p in packs],
+            "repeats": [w.repeat for w in cell.workloads],
+            "stop": cell.total_accesses,
+        })
+    batch = build_native_batch_replay(h, cell_dicts, threads=threads)
+    return None if batch is None else (batch, cell_packs)
+
+
 def run_packed_roster(cells, prefetchers_on=False, threads=None,
                       pack_cache=None, pack_store=True, sequential=False):
     """Replay a roster of independent co-runs in ONE native call.
@@ -525,61 +578,27 @@ def run_packed_roster(cells, prefetchers_on=False, threads=None,
     if not cells:
         return []
     for cell in cells:
-        if not cell.workloads:
-            raise ValidationError("every roster cell needs workloads")
         names = [w.name for w in cell.workloads]
         if len(set(names)) != len(names):
             raise ValidationError("workload names must be unique per cell")
 
-    def fallback():
+    def masks_of(cell, cores, default_bits):
+        if not cell.masks:
+            return None
+        return [
+            cell.masks[c].bits if c in cell.masks else default_bits[c]
+            for c in cores
+        ]
+
+    setup = _roster_batch(
+        cells, sequential or prefetchers_on, threads, pack_cache,
+        pack_store, masks_of,
+    )
+    if setup is None:
         return _run_roster_sequential(
             cells, prefetchers_on, pack_cache, pack_store
         )
-
-    if sequential or prefetchers_on:
-        return fallback()
-
-    cell_packs = []
-    for cell in cells:
-        packs = _acquire_packs(cell.workloads, None, pack_cache, pack_store)
-        if packs is None:
-            return fallback()
-        cell_packs.append(packs)
-
-    from repro.cache.kernel import build_native_batch_replay
-
-    template = TraceEngine(prefetchers_on=False)
-    h = template.hierarchy
-    columns = _llc_columns(h.llc.storage)
-    core_of = h.core_of_tid
-    default_bits = h.llc._mask_bits
-
-    cell_dicts = []
-    for cell, packs in zip(cells, cell_packs):
-        cores = [core_of(w.tid) for w in cell.workloads]
-        if len(set(cores)) != len(cores):
-            return fallback()
-        mask_bits = None
-        if cell.masks:
-            mask_bits = [
-                cell.masks[c].bits if c in cell.masks else default_bits[c]
-                for c in cores
-            ]
-        cell_dicts.append({
-            "cores": cores,
-            "thinks": [w.think_cycles for w in cell.workloads],
-            "mask_bits": mask_bits,
-            "lines": [p.line for p in packs],
-            "sets": [p.set_column(*columns) for p in packs],
-            "lengths": [len(p.line) for p in packs],
-            "repeats": [w.repeat for w in cell.workloads],
-            "stop": cell.total_accesses,
-        })
-
-    batch = build_native_batch_replay(h, cell_dicts, threads=threads)
-    if batch is None:
-        return fallback()
-
+    batch, cell_packs = setup
     with _gc_paused():
         outcomes = batch.run()
     ec.add(ec.BATCH_CALLS)
@@ -632,7 +651,7 @@ def run_dynamic_roster(cells, prefetchers_on=False, threads=None,
 
     Every :class:`DynamicRosterCell` gets its own fresh hierarchy state
     (the template engine's state, tiled inside
-    :func:`~repro.cache.kernel.build_native_epoch_batch_replay`), its
+    :func:`~repro.cache.kernel.build_native_batch_replay`), its
     own initial controller masks, and its own epoch/total budgets. Each
     round of the host loop advances every still-active cell by one
     epoch in ONE threaded ctypes call, then steps *all* cells'
@@ -648,15 +667,13 @@ def run_dynamic_roster(cells, prefetchers_on=False, threads=None,
     ``REPRO_NATIVE=0`` — to running each cell on a fresh
     :class:`TraceEngine` via :meth:`TraceEngine.run_dynamic` (which is
     exactly what the fallback does whenever a cell is not batchable or
-    the epoch-batch kernel is unavailable). ``sequential=True`` forces
+    the batch kernel is unavailable). ``sequential=True`` forces
     that reference path.
     """
     if not cells:
         return []
     seen_controllers = set()
     for cell in cells:
-        if not cell.workloads:
-            raise ValidationError("every roster cell needs workloads")
         if id(cell.controller) in seen_controllers:
             raise ValidationError(
                 "each dynamic roster cell needs its own controller "
@@ -664,61 +681,34 @@ def run_dynamic_roster(cells, prefetchers_on=False, threads=None,
             )
         seen_controllers.add(id(cell.controller))
 
-    def fallback():
-        return _run_dynamic_roster_sequential(
-            cells, prefetchers_on, pack_cache, pack_store
-        )
-
-    if sequential or prefetchers_on:
-        return fallback()
-
-    cell_packs = []
-    for cell in cells:
+    def masks_of(cell, cores, default_bits):
         names = [w.name for w in cell.workloads]
         if (
-            len(cell.workloads) < 2
+            len(names) < 2
             or len(set(names)) != len(names)
             or cell.epoch_accesses < 1
         ):
-            return fallback()
-        packs = _acquire_packs(cell.workloads, None, pack_cache, pack_store)
-        if packs is None:
-            return fallback()
-        cell_packs.append(packs)
-
-    from repro.cache.kernel import build_native_epoch_batch_replay
-    from repro.core.dynamic import mpki_windows
-
-    template = TraceEngine(prefetchers_on=False)
-    h = template.hierarchy
-    columns = _llc_columns(h.llc.storage)
-    core_of = h.core_of_tid
-
-    cell_dicts = []
-    for cell, packs in zip(cells, cell_packs):
-        names = [w.name for w in cell.workloads]
-        cores = [core_of(w.tid) for w in cell.workloads]
-        if len(set(cores)) != len(cores):
-            return fallback()
+            return False
         initial = cell.controller.masks()
         if set(initial) != set(names):
-            return fallback()
-        cell_dicts.append({
-            "cores": cores,
-            "thinks": [w.think_cycles for w in cell.workloads],
-            "mask_bits": [initial[name].bits for name in names],
-            "lines": [p.line for p in packs],
-            "sets": [p.set_column(*columns) for p in packs],
-            "lengths": [len(p.line) for p in packs],
-            "repeats": [w.repeat for w in cell.workloads],
-            "stop": 0,  # nothing runs until the host loop sets targets
-        })
+            return False
+        return [initial[name].bits for name in names]
 
-    batch = build_native_epoch_batch_replay(h, cell_dicts, threads=threads)
-    if batch is None:
-        return fallback()
+    # The host loop below sets each active cell's epoch target before
+    # every call, overriding the whole-run targets the banks start with.
+    setup = _roster_batch(
+        cells, sequential or prefetchers_on, threads, pack_cache,
+        pack_store, masks_of,
+    )
+    if setup is None:
+        return _run_dynamic_roster_sequential(
+            cells, prefetchers_on, pack_cache, pack_store
+        )
+    batch, cell_packs = setup
 
     import numpy as np
+
+    from repro.core.dynamic import mpki_windows
 
     R = len(cells)
     issued = [0] * R

@@ -52,6 +52,12 @@ def _native_available():
     return native.batch_walk_fn() is not None
 
 
+def _native_profiler_available():
+    from repro.cache import native
+
+    return native.batch_profile_fn() is not None
+
+
 def _without_native(fn):
     from repro.cache import native
 
@@ -251,26 +257,30 @@ class TestBatchProfiler:
         return get_pack(ZipfTrace(3_000, 512 * KB, alpha=0.9, seed=13))
 
     def test_native_profile_matches_python_single_domain(self):
+        if not _native_profiler_available():
+            pytest.skip("no C compiler for the batch profiler")
         sweep = WaySweep(num_sets=256, num_ways=8, indexing="hash")
         pack = self._pack()
-        native_curves = sweep.run_pack(pack, use_native=True)
-        python_curves = sweep.run_pack(pack, use_native=False)
+        native_curves = sweep.run_pack(pack)
+        python_curves = _without_native(lambda: sweep.run_pack(pack))
         assert native_curves[0].histogram == python_curves[0].histogram
         assert native_curves[0].accesses == python_curves[0].accesses
 
     def test_native_profile_matches_python_four_domains(self):
         import numpy as np
 
+        if not _native_profiler_available():
+            pytest.skip("no C compiler for the batch profiler")
         sweep = WaySweep(
             num_sets=256, num_ways=8, indexing="hash", num_domains=4
         )
         pack = self._pack()
         # A deterministic 4-way interleaving of the stream.
         domains = np.arange(len(pack.line), dtype=np.int64) % 4
-        native_curves = sweep.run_pack(pack, domains=domains,
-                                       use_native=True)
-        python_curves = sweep.run_pack(pack, domains=domains,
-                                       use_native=False)
+        native_curves = sweep.run_pack(pack, domains=domains)
+        python_curves = _without_native(
+            lambda: sweep.run_pack(pack, domains=domains)
+        )
         for d in range(4):
             assert native_curves[d].histogram == python_curves[d].histogram
             assert native_curves[d].accesses == python_curves[d].accesses

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.profile import WayProfiler, WaySweep
-from repro.cache.profile_np import profile_pack, sweep_pack
+from repro.cache.profile_np import profile_pack
 from repro.util.errors import ConfigurationError
 from repro.util.units import MB
 from repro.workloads.tracepack import TracePack, compile_columns, get_pack
@@ -86,7 +86,7 @@ class TestSweepPack:
         """WaySweep.run_pack and run_single agree hit for hit."""
         sweep = WaySweep()
         from_generator = sweep.run_single(_zipf)
-        from_pack = sweep_pack(_zipf())
+        from_pack = sweep.run_pack(get_pack(_zipf()))[0]
         for ways in range(1, 13):
             assert from_pack.hits(ways) == from_generator.hits(ways)
         assert from_pack.accesses == from_generator.accesses

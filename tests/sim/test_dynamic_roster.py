@@ -1,4 +1,4 @@
-"""The batched dynamic roster: one epoch-batch C call per control period.
+"""The batched dynamic roster: one batch-kernel call per control period.
 
 ``run_dynamic_roster`` must be indistinguishable from running every cell
 on its own fresh engine via ``run_dynamic`` — per-cell stats
@@ -29,7 +29,7 @@ from repro.workloads.trace import make_trace
 def _native_available():
     from repro.cache import native
 
-    return native.epoch_batch_fn() is not None
+    return native.batch_walk_fn() is not None
 
 
 def _without_native(fn):
@@ -115,7 +115,7 @@ def _payload(results):
 
 
 @pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
+    not _native_available(), reason="no C compiler for the batch kernel"
 )
 class TestLockstep:
     """Batched == sequential across threads x REPRO_NATIVE."""
@@ -192,7 +192,7 @@ class _ScriptedController:
 
 
 @pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
+    not _native_available(), reason="no C compiler for the batch kernel"
 )
 class TestMaskStraddle:
     """A reallocation at an epoch boundary, replay straddling it."""
@@ -235,7 +235,7 @@ class TestMaskStraddle:
 
 
 @pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
+    not _native_available(), reason="no C compiler for the batch kernel"
 )
 class TestEarlyFinish:
     """Cells retiring epochs apart drop out without a controller tick."""
@@ -341,7 +341,7 @@ class TestValidation:
 
 
 @pytest.mark.skipif(
-    not _native_available(), reason="no C compiler for the epoch-batch kernel"
+    not _native_available(), reason="no C compiler for the batch kernel"
 )
 class TestControllerProperty:
     """Any controller parameterization: batched == sequential."""
